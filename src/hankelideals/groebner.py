@@ -4,9 +4,12 @@ The verification style throughout the package leans on two properties of
 this module: division is deterministic (divisors are tried in list order and
 the leading monomial of the running remainder is always reduced first), and
 `buchberger` returns the unique reduced Groebner basis, monic and sorted
-ascending by leading monomial, so bases are directly comparable.  There are
-no signature-based or modular shortcuts; `is_groebner_basis` rechecks every
-S-pair and serves as the independent oracle for the computed bases.
+ascending by leading monomial, so bases are directly comparable.  The only
+shortcuts are the Gebauer-Moeller pair criteria (Buchberger's coprime
+criterion and the chain criterion), which skip S-pairs known to reduce to
+zero; there are no signature-based or modular ones.  `is_groebner_basis`
+rechecks every S-pair and serves as the independent oracle for the computed
+bases.
 """
 
 from __future__ import annotations
@@ -176,51 +179,80 @@ def basis_cache_clear() -> None:
 
 
 def buchberger(
-    ideal: Ideal,
-    order: MonomialOrder = REVLEX,
-    *,
-    budget: int | None = None,
-    use_coprime_criterion: bool = True,
+    ideal: Ideal, order: MonomialOrder = REVLEX, *, budget: int | None = None
 ) -> ReducedGroebnerBasis:
     """The reduced Groebner basis of `ideal` under `order`.
 
-    Pairs are handled in the normal strategy (smallest lcm first).  When the
-    leading monomials of a pair are coprime the S-polynomial reduces to zero,
-    so such pairs are skipped unless the criterion is disabled; either way
-    the canonical result is identical.  `budget` caps the number of pair
-    reductions (default 100,000) and overruns raise BudgetExhaustedError.
+    Pairs are handled in the normal strategy (smallest lcm first, then by
+    index) and filtered by the Gebauer-Moeller update each time an element
+    h joins the basis:
+
+    * of the new pairs (g, h), one is dropped when another new pair's lcm
+      properly divides its lcm, only one is kept per lcm, and a pair is
+      dropped when its lcm class contains a coprime pair (Buchberger's first
+      criterion: such S-polynomials reduce to zero);
+    * an old pair (f, g) is dropped when lm(h) divides lcm(f, g) and both
+      lcm(f, h) and lcm(g, h) differ from it (the chain criterion);
+    * elements whose leading monomial lm(h) divides form no further pairs,
+      though they stay divisors.
+
+    The canonical result does not depend on which pairs are skipped.  Bases
+    are memoized per (generators, order), with or without a budget, so a
+    repeated call costs no pairs.  `budget` caps the pair reductions a
+    computation performs (default 100,000); overruns raise
+    BudgetExhaustedError and cache nothing.
     """
-    cache_key = None
-    if budget is None:
-        cache_key = (ideal.context, ideal.generators, order, use_coprime_criterion)
-        hit = _GB_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
+    cache_key = (ideal.context, ideal.generators, order)
+    hit = _GB_CACHE.get(cache_key)
+    if hit is not None:
+        return hit
     limit = DEFAULT_PAIR_BUDGET if budget is None else budget
 
-    basis: list[Polynomial] = []
-    leads: list[tuple[Mono, Fraction]] = []
-    for g in dict.fromkeys(ideal.generators):
-        basis.append(g.monic(order))
-        leads.append(_leading(basis[-1], order))
-
     key = order.sort_key
+    basis: list[Polynomial] = []
+    leads: list[Mono] = []
+    active: list[int] = []  # indices that still form new pairs
     heap: list = []
 
-    def push_pairs(j: int):
-        for i in range(j):
-            lcm = mono_lcm(leads[i][0], leads[j][0])
+    def update(h: Polynomial) -> None:
+        j = len(basis)
+        hm = h.leading_monomial(order)
+        basis.append(h)
+        leads.append(hm)
+        # new pairs by lcm: the first index with it, and whether any is coprime
+        fresh: dict[Mono, tuple[int, bool]] = {}
+        for i in active:
+            lcm = mono_lcm(leads[i], hm)
+            coprime = lcm == mono_mul(leads[i], hm)
+            if lcm in fresh:
+                first, seen = fresh[lcm]
+                fresh[lcm] = (first, seen or coprime)
+            else:
+                fresh[lcm] = (i, coprime)
+        kept = len(heap)
+        heap[:] = [
+            entry
+            for entry in heap
+            if not mono_divides(hm, entry[3])
+            or mono_lcm(leads[entry[1]], hm) == entry[3]
+            or mono_lcm(leads[entry[2]], hm) == entry[3]
+        ]
+        if len(heap) != kept:
+            heapq.heapify(heap)
+        for lcm, (i, coprime) in fresh.items():
+            if coprime or any(other != lcm and mono_divides(other, lcm) for other in fresh):
+                continue
             heapq.heappush(heap, (key(lcm), i, j, lcm))
+        active[:] = [i for i in active if not mono_divides(hm, leads[i])]
+        active.append(j)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in dict.fromkeys(ideal.generators):
+        update(g.monic(order))
 
     pairs_done = 0
-    unit = None
+    unit = False
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        if use_coprime_criterion and lcm == mono_mul(leads[i][0], leads[j][0]):
-            continue
+        _, i, j, _ = heapq.heappop(heap)
         if pairs_done >= limit:
             raise BudgetExhaustedError(pairs_done)
         pairs_done += 1
@@ -231,45 +263,37 @@ def buchberger(
             continue
         h = h.monic(order)
         if h.constant_value() is not None:
-            unit = h
+            unit = True
             break
-        basis.append(h)
-        leads.append(_leading(h, order))
-        push_pairs(len(basis) - 1)
+        update(h)
 
-    if unit is not None:
+    if unit:
         elements = (Polynomial.one(ideal.context),)
     else:
         elements = tuple(_reduce_basis(basis, order))
     result = ReducedGroebnerBasis(ideal, order, elements, pairs_done)
-    if cache_key is not None:
-        _GB_CACHE[cache_key] = result
+    _GB_CACHE[cache_key] = result
     return result
 
 
 def _reduce_basis(polys, order: MonomialOrder):
-    """Minimalizes by leading monomial, then tail-reduces until stable."""
+    """Minimalizes by leading monomial, then tail-reduces in one ascending pass.
+
+    One pass suffices: a term of p is at most lm(p) and a monomial never
+    divides a smaller one, so only elements with smaller leading monomials,
+    already reduced, can divide terms of p.
+    """
     key = order.sort_key
     polys = sorted((p.monic(order) for p in polys), key=lambda p: key(p.leading_monomial(order)))
-    minimal: list[Polynomial] = []
+    reduced: list[Polynomial] = []
     kept_lms: list[Mono] = []
     for p in polys:
         lm = p.leading_monomial(order)
         if any(mono_divides(m, lm) for m in kept_lms):
             continue
-        minimal.append(p)
+        reduced.append(normal_form(p, reduced, order))
         kept_lms.append(lm)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            reduced = normal_form(minimal[idx], others, order) if others else minimal[idx]
-            if reduced != minimal[idx]:
-                minimal[idx] = reduced.monic(order)
-                changed = True
-    minimal.sort(key=lambda p: key(p.leading_monomial(order)))
-    return minimal
+    return reduced
 
 
 def is_groebner_basis(polys, order: MonomialOrder = REVLEX) -> bool:

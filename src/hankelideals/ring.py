@@ -288,11 +288,17 @@ class Polynomial:
         return max(mono_deg(m) for m, _ in self.terms)
 
     def leading_term(self, order: MonomialOrder = REVLEX) -> Term:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = order.sort_key
-        mono = max((m for m, _ in self.terms), key=key)
-        return Term(dict(self.terms)[mono], mono)
+        # Remembered per order in the instance dict, outside the dataclass
+        # fields, so equality and hashing ignore it; __getstate__ drops it.
+        leads = self.__dict__.setdefault("_leads", {})
+        term = leads.get(order)
+        if term is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            key = order.sort_key
+            mono, coeff = max(self.terms, key=lambda t: key(t[0]))
+            term = leads[order] = Term(coeff, mono)
+        return term
 
     def leading_monomial(self, order: MonomialOrder = REVLEX) -> Mono:
         return self.leading_term(order).monomial
@@ -383,6 +389,9 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+    def __getstate__(self):
+        return {"context": self.context, "terms": self.terms}
 
 
 # ---------------------------------------------------------------------------

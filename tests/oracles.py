@@ -8,8 +8,9 @@ between an oracle and the library is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from functools import cmp_to_key
 
-from hankelideals import LabeledGraph
+from hankelideals import LabeledGraph, Polynomial
 
 
 def revlex_cmp(a, b) -> int:
@@ -42,6 +43,73 @@ def block_cmp(a, b, elim: int) -> int:
     if by_lex:
         return by_lex
     return revlex_cmp(head_a, head_b)
+
+
+def _leading(poly: dict, cmp):
+    mono = max(poly, key=cmp_to_key(cmp))
+    return mono, poly[mono]
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _remainder(poly: dict, divisors: list, cmp) -> dict:
+    """Full division: the largest remaining term is cancelled by the first
+    divisor whose leading monomial divides it, else moved to the remainder."""
+    work, rest = dict(poly), {}
+    while work:
+        mono, coeff = _leading(work, cmp)
+        for d in divisors:
+            dm, dc = _leading(d, cmp)
+            if _divides(dm, mono):
+                shift = tuple(x - y for x, y in zip(mono, dm))
+                for m, c in d.items():
+                    target = tuple(x + y for x, y in zip(m, shift))
+                    work[target] = work.get(target, 0) - coeff / dc * c
+                    if not work[target]:
+                        del work[target]
+                break
+        else:
+            rest[mono] = work.pop(mono)
+    return rest
+
+
+def plain_buchberger(generators, cmp) -> list:
+    """The reduced Groebner basis under the order `cmp` (a comparator such
+    as `revlex_cmp`), sorted ascending by leading monomial: every S-pair is
+    reduced, with no criteria, then the basis is inter-reduced until stable."""
+    context = generators[0].context
+    basis = [dict(g.terms) for g in generators]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    for i, j in pairs:  # grows while it is walked
+        (fm, fc), (gm, gc) = _leading(basis[i], cmp), _leading(basis[j], cmp)
+        lcm = tuple(max(x, y) for x, y in zip(fm, gm))
+        s: dict = {}
+        for poly, mono, coeff, sign in ((basis[i], fm, fc, 1), (basis[j], gm, gc, -1)):
+            shift = tuple(x - y for x, y in zip(lcm, mono))
+            for m, c in poly.items():
+                target = tuple(x + y for x, y in zip(m, shift))
+                s[target] = s.get(target, 0) + sign * c / coeff
+        r = _remainder({m: c for m, c in s.items() if c}, basis, cmp)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    minimal: list = []
+    for poly in sorted(basis, key=lambda p: cmp_to_key(cmp)(_leading(p, cmp)[0])):
+        if not any(_divides(_leading(q, cmp)[0], _leading(poly, cmp)[0]) for q in minimal):
+            minimal.append(poly)
+    changed = True
+    while changed:
+        changed = False
+        for k, poly in enumerate(minimal):
+            reduced = _remainder(poly, minimal[:k] + minimal[k + 1 :], cmp)
+            lc = _leading(reduced, cmp)[1]
+            reduced = {m: c / lc for m, c in reduced.items()}
+            if reduced != poly:
+                minimal[k] = reduced
+                changed = True
+    return [Polynomial.from_dict(context, p) for p in minimal]
 
 
 def monomials_up_to(width: int, max_deg: int):

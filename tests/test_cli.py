@@ -8,6 +8,7 @@ import pytest
 
 from hankelideals import hankel_edge_ideal, parse_polynomial, path_graph
 from hankelideals.cli import main
+from hankelideals.groebner import basis_cache_clear
 from hankelideals.ring import VariableContext
 
 
@@ -184,12 +185,14 @@ def test_verify_jobs_do_not_change_output(capsys):
 
 
 def test_budget_flag_exhausts(capsys):
+    basis_cache_clear()
     code, _, err = run(capsys, "--budget", "3", "gb", "--builtin", "k4")
     assert code == 3
     assert "error: GB budget exhausted after 3 pair reductions" in err
 
 
 def test_budget_env_variable(capsys, monkeypatch):
+    basis_cache_clear()
     monkeypatch.setenv("HANKEL_BUDGET", "2")
     code, _, err = run(capsys, "gb", "--builtin", "k4")
     assert code == 3 and "budget exhausted" in err
@@ -197,6 +200,16 @@ def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("HANKEL_BUDGET", "2")
     code, out, _ = run(capsys, "--budget", "100000", "gb", "--builtin", "k4")
     assert code == 0 and out
+
+
+def test_budget_flag_does_not_change_pairs_used(capsys):
+    used = []
+    for extra in ([], ["--budget", "100000"]):
+        basis_cache_clear()
+        code, out, _ = run(capsys, "--json", *extra, "minprimes", "--builtin", "t2-7")
+        assert code == 0
+        used.append(json.loads(out)["budget_used"])
+    assert used[0] == used[1]
 
 
 def test_check_radical_without_candidate_list(capsys):

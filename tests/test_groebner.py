@@ -1,6 +1,7 @@
 """Groebner machinery: division, S-polynomials, Buchberger, reduced bases."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hankelideals import (
     REVLEX,
     LEX,
     VariableContext,
+    block_elim,
     buchberger,
     complete_graph,
     cycle_graph,
@@ -30,7 +32,11 @@ from hankelideals import (
     t1_path,
     t2_path,
 )
+from hankelideals.cli import main
+from hankelideals.groebner import basis_cache_clear
+from hankelideals.ring import extend_polynomial
 from conftest import polynomials
+from oracles import block_cmp, lex_cmp, plain_buchberger, revlex_cmp
 
 
 def ideal_of(graph):
@@ -183,12 +189,50 @@ def test_generator_permutation_invariance():
             assert buchberger(Ideal(ideal.context, perm), REVLEX).elements == reference
 
 
-def test_coprime_criterion_does_not_change_the_basis():
-    for graph in FIXTURE_GRAPHS:
-        ideal = ideal_of(graph)
-        with_skip = buchberger(ideal, REVLEX, use_coprime_criterion=True)
-        without = buchberger(ideal, REVLEX, use_coprime_criterion=False)
-        assert with_skip.elements == without.elements
+ORACLE_ORDERS = [(REVLEX, revlex_cmp), (LEX, lex_cmp), (block_elim(1), lambda a, b: block_cmp(a, b, 1))]
+
+
+def lifted_intersection_input():
+    """The generators intersect_ideals lifts for I(t1-4) and I(c4): t*a, (1-t)*b."""
+    a, b = ideal_of(t1_path(4)), ideal_of(cycle_graph(4))
+    ext = a.context.extended("elim")
+    t = Polynomial.auxiliary(ext, 1)
+    lifted = [t * extend_polynomial(g, ext) for g in a.generators]
+    lifted += [(Polynomial.one(ext) - t) * extend_polynomial(g, ext) for g in b.generators]
+    return Ideal.of(ext, lifted)
+
+
+def rabinowitsch_input():
+    """I(c4) + (1 - t*g) for a generator g of I(c4): the unit ideal."""
+    ideal = ideal_of(cycle_graph(4))
+    ext = ideal.context.extended("radical")
+    gens = [extend_polynomial(g, ext) for g in ideal.generators]
+    return Ideal.of(ext, gens + [Polynomial.one(ext) - Polynomial.auxiliary(ext, 1) * gens[0]])
+
+
+def test_pair_criteria_do_not_change_the_basis():
+    inputs = [ideal_of(g) for g in FIXTURE_GRAPHS] + [lifted_intersection_input(), rabinowitsch_input()]
+    for ideal in inputs:
+        for order, cmp in ORACLE_ORDERS:
+            assert list(buchberger(ideal, order).elements) == plain_buchberger(ideal.generators, cmp)
+    unit = rabinowitsch_input()
+    assert buchberger(unit, REVLEX).elements == (Polynomial.one(unit.context),)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_duplicate_and_shared_leading_generators_match_the_oracle(data):
+    ctx = VariableContext(3)
+    nonzero = polynomials(ctx, max_terms=3, max_entry=2).filter(lambda p: not p.is_zero)
+    gens = data.draw(st.lists(nonzero, min_size=1, max_size=3))
+    first = gens[0]
+    lead = first.leading_monomial(REVLEX)
+    tail = data.draw(polynomials(ctx, max_terms=2, max_entry=2))
+    below = Polynomial.from_dict(ctx, {m: c for m, c in tail.terms if revlex_cmp(m, lead) < 0})
+    gens += [first, first * data.draw(st.sampled_from([1, -2, 3])) + below]
+    ideal = Ideal.of(ctx, gens)
+    for order, cmp in ORACLE_ORDERS[:2]:
+        assert list(buchberger(ideal, order).elements) == plain_buchberger(gens, cmp)
 
 
 def test_unit_ideal_collapses_to_one():
@@ -200,6 +244,7 @@ def test_unit_ideal_collapses_to_one():
 
 
 def test_budget_exhaustion():
+    basis_cache_clear()
     ideal = ideal_of(complete_graph(5))
     with pytest.raises(BudgetExhaustedError) as err:
         buchberger(ideal, REVLEX, budget=3)
@@ -212,9 +257,19 @@ def test_default_budget_calls_are_memoized():
     first = buchberger(ideal, REVLEX)
     second = buchberger(ideal, REVLEX)
     assert second is first
-    # explicit budgets bypass the cache
     third = buchberger(ideal, REVLEX, budget=10_000)
-    assert third is not first and third.elements == first.elements
+    assert third is first
+
+
+def test_pair_counts_stay_within_the_criteria_bounds(capsys):
+    # counts reached with the Gebauer-Moeller update; with the coprime
+    # criterion alone they were 1558, 324 and 7574
+    basis_cache_clear()
+    assert buchberger(ideal_of(cycle_graph(12)), REVLEX).pairs_processed <= 440
+    assert buchberger(ideal_of(complete_graph(10)), REVLEX).pairs_processed <= 240
+    basis_cache_clear()
+    assert main(["--json", "minprimes", "--builtin", "t2-7"]) == 0
+    assert json.loads(capsys.readouterr().out)["budget_used"] <= 2570
 
 
 # -- membership and equality -----------------------------------------------------
