@@ -38,6 +38,7 @@ from .hankel import (
     hankel_edge_ideal,
     minimal_prime_candidates,
     property_report,
+    radical_verdict,
     verify_minimal_primes,
     verify_theorem,
 )
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     parser.add_argument(
         "--budget",
-        type=int,
         metavar="INT",
         help="cap on Groebner pair reductions per basis (default from HANKEL_BUDGET or 100000)",
     )
@@ -119,10 +119,14 @@ def _load_graph(args):
 
 
 def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("HANKEL_BUDGET")
-    return int(env) if env else None
+    text, source = args.budget, "--budget"
+    if text is None:
+        text, source = os.environ.get("HANKEL_BUDGET"), "HANKEL_BUDGET"
+        if not text:
+            return None
+    if not text.strip().isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _bool_word(value) -> str:
@@ -131,14 +135,23 @@ def _bool_word(value) -> str:
 
 def _parse_candidates_file(path: str) -> list[StructuredPrime]:
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise GraphFormatError("candidate file nests too deeply") from None
     if not isinstance(raw, list):
         raise GraphFormatError("candidate file must hold a JSON array")
     out = []
-    for entry in raw:
-        variables = frozenset(entry.get("variables", []))
-        minors = entry.get("minors")
-        out.append(StructuredPrime(variables, tuple(minors) if minors else None))
+    for k, entry in enumerate(raw, 1):
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"candidate {k} must be a JSON object")
+        variables, minors = entry.get("variables", []), entry.get("minors")
+        # type() rather than isinstance(): JSON true/false load as bools, which are ints
+        if not isinstance(variables, list) or not all(type(v) is int and v > 0 for v in variables):
+            raise GraphFormatError(f'candidate {k}: "variables" must be a list of positive integers')
+        if minors is not None and not (isinstance(minors, list) and list(map(type, minors)) == [int, int]):
+            raise GraphFormatError(f'candidate {k}: "minors" must be null or two integers')
+        out.append(StructuredPrime(frozenset(variables), None if minors is None else tuple(minors)))
     return out
 
 
@@ -254,22 +267,24 @@ def _cmd_minprimes(args, budget):
 
 def _cmd_check(args, budget):
     graph = _load_graph(args)
-    report = property_report(graph, budget=budget, include_radical=args.property == "radical")
+    notes = []
+    if args.property == "radical":
+        # decided first: an unknown verdict needs neither mu nor the height
+        value, note = radical_verdict(graph, budget=budget)
+        notes.append(note)
+        if value is None:
+            lines = ["radical: unknown (no verified minimal-prime list for this class)"]
+            result = {"ok": False, "property": args.property, "value": "unknown"}
+            return _Outcome(2, lines, result, {"checks": notes}, graph)
+    report = property_report(graph, budget=budget)
     if args.property == "ci":
         value = report.is_complete_intersection
         label = "CI"
     elif args.property == "aci":
         value = report.is_almost_complete_intersection
         label = "almost CI"
-    else:
-        value = report.is_radical
-        label = "radical"
-    if value is None:
-        lines = ["radical: unknown (no verified minimal-prime list for this class)"]
-        result = {"ok": False, "property": args.property, "value": "unknown"}
-        return _Outcome(2, lines, result, {"checks": list(report.checks)}, graph)
     if args.property == "radical":
-        lines = [f"{label}: {_bool_word(value)}"]
+        lines = [f"radical: {_bool_word(value)}"]
     else:
         lines = [f"{label}: {_bool_word(value)} (mu={report.generator_count}, height={report.height})"]
     result = {
@@ -279,7 +294,7 @@ def _cmd_check(args, budget):
         "mu": report.generator_count,
         "height": report.height,
     }
-    return _Outcome(0 if value else 1, lines, result, {"checks": list(report.checks)}, graph)
+    return _Outcome(0 if value else 1, lines, result, {"checks": [*report.checks, *notes]}, graph)
 
 
 def _cmd_verify(args, budget):
@@ -330,9 +345,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = _resolve_budget(args)
     pair_meter_reset()
     try:
+        budget = _resolve_budget(args)
         outcome = _HANDLERS[args.command](args, budget)
     except BudgetExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)

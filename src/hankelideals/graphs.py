@@ -314,23 +314,6 @@ def tree_classes(n: int) -> list[LabeledGraph]:
     return [seen[k] for k in sorted(seen)]
 
 
-def all_labelings(graph: LabeledGraph) -> list[LabeledGraph]:
-    """Every relabeling of the graph, deduplicated (automorphisms collapse)."""
-    out: set[frozenset[Edge]] = set()
-    vertices = list(range(1, graph.n + 1))
-    for perm in permutations(vertices):
-        mapping = dict(zip(vertices, perm))
-        out.add(
-            frozenset(
-                (min(mapping[i], mapping[j]), max(mapping[i], mapping[j]))
-                for i, j in graph.edges
-            )
-        )
-    labeled = [LabeledGraph(graph.n, edges) for edges in out]
-    labeled.sort(key=lambda g: g.edge_list())
-    return labeled
-
-
 # ---------------------------------------------------------------------------
 # standard constructions
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .groebner import (
 from .ideal_ops import (
     height,
     intersect_ideals,
-    is_minimal_generating_set,
     radical_member,
     radicals_equal,
 )
@@ -294,55 +293,50 @@ def verify_minimal_primes(
 class PropertyReport:
     graph: LabeledGraph
     generator_count: int
-    minimal_generators: bool
     height: int
     is_complete_intersection: bool
     is_almost_complete_intersection: bool
-    is_radical: bool | None
     checks: tuple[str, ...]
 
 
-def property_report(
-    graph: LabeledGraph, *, budget: int | None = None, include_radical: bool = True
-) -> PropertyReport:
-    """Algebraic summary of a connected labeled graph's edge ideal.
+def property_report(graph: LabeledGraph, *, budget: int | None = None) -> PropertyReport:
+    """Generator count, height and (almost) complete-intersection flags of a
+    connected labeled graph's edge ideal.
 
-    The complete-intersection flags compare the verified minimal generator
-    count against the height.  Radicality is decided only when a verified
-    minimal-prime list is available; otherwise it is reported as unknown
-    (None).
+    mu(I_G) = |E(G)| for every labeled graph.  Under lex with x_1 > x_2 > ...,
+    the minor of an edge {i < j} has leading monomial x_i*x_{j+1}, which gives
+    back the edge, so the minors are linearly independent quadrics: none lies
+    in the ideal of the others, and by graded Nakayama they generate
+    minimally.  Only the height needs a Groebner basis.
     """
     if not graph.is_connected():
         raise ValueError("property report requires a connected graph")
     hank = hankel_edge_ideal(graph)
-    mu = len(hank.ideal.generators)
-    minimal = is_minimal_generating_set(hank.ideal, REVLEX, budget=budget)
+    mu = len(graph.edges)
     ht = height(hank.ideal, REVLEX, budget=budget)
-    checks = [f"mu={mu} (minimal generating set: {minimal})", f"height={ht}"]
-    is_rad: bool | None = None
-    if include_radical:
-        try:
-            cands = minimal_prime_candidates(graph)
-        except UncoveredClassError:
-            cands = None
-            checks.append("radical: unknown (no candidate list known)")
-        if cands is not None:
-            report = verify_minimal_primes(hank, cands, budget=budget)
-            if report.verified:
-                is_rad = ideals_equal(hank.ideal, report.intersection, REVLEX, budget=budget)
-                checks.append("radical decided against the verified prime intersection")
-            else:
-                checks.append("radical: unknown (candidate verification failed)")
-    return PropertyReport(
-        graph,
-        mu,
-        minimal,
-        ht,
-        minimal and mu == ht,
-        minimal and mu == ht + 1,
-        is_rad,
-        tuple(checks),
-    )
+    checks = (f"mu={mu} (distinct minors have distinct lex leading monomials)", f"height={ht}")
+    return PropertyReport(graph, mu, ht, mu == ht, mu == ht + 1, checks)
+
+
+def radical_verdict(graph: LabeledGraph, *, budget: int | None = None) -> tuple[bool | None, str]:
+    """Whether a connected labeled graph's edge ideal is radical, and why.
+
+    Decided, as equality with the intersection of the minimal primes, only
+    when the labeling class has a candidate list that verifies; otherwise
+    None.  An uncovered class returns before any Groebner work.
+    """
+    if not graph.is_connected():
+        raise ValueError("radical verdict requires a connected graph")
+    hank = hankel_edge_ideal(graph)
+    try:
+        cands = minimal_prime_candidates(graph)
+    except UncoveredClassError:
+        return None, "radical: unknown (no candidate list known)"
+    report = verify_minimal_primes(hank, cands, budget=budget)
+    if not report.verified:
+        return None, "radical: unknown (candidate verification failed)"
+    is_rad = ideals_equal(hank.ideal, report.intersection, REVLEX, budget=budget)
+    return is_rad, "radical decided against the verified prime intersection"
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +491,7 @@ def _instances_prop26(n: int) -> list[TheoremInstance]:
 
 def _check_prop26(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     graph, expect = inst.payload
-    report = property_report(graph, budget=budget, include_radical=False)
+    report = property_report(graph, budget=budget)
     got = report.is_almost_complete_intersection
     return got == expect, f"almost-CI={got} (want {expect})"
 
@@ -517,7 +511,7 @@ def _instances_cor27(n: int) -> list[TheoremInstance]:
 def _check_cor27(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     graph, span = inst.payload
     closed = is_closed_labeling(graph)
-    report = property_report(graph, budget=budget, include_radical=False)
+    report = property_report(graph, budget=budget)
     aci = report.is_almost_complete_intersection
     if span is None:
         # the complete graph: closed but almost-CI only at n=3
@@ -559,7 +553,7 @@ def _instances_thm32(n: int) -> list[TheoremInstance]:
 
 def _check_thm32(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (tree,) = inst.payload
-    report = property_report(tree, budget=budget, include_radical=False)
+    report = property_report(tree, budget=budget)
     expect = tree.is_path_shape() and _root_at_or_next_to_leaf(tree)
     got = report.is_complete_intersection
     return got == expect, f"CI={got} (want {expect})"

@@ -162,9 +162,6 @@ class MonomialOrder:
         """A key function usable with sorted()/max(); ascending in the order."""
         return _order_key_class(self)
 
-    def max_monomial(self, monos):
-        return max(monos, key=self.sort_key)
-
     def __str__(self) -> str:
         if self.kind == "elim":
             return f"elim({self.elim_count})"

@@ -8,6 +8,7 @@ between an oracle and the library is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cmp_to_key
 
 from hankelideals import LabeledGraph, Polynomial
@@ -171,3 +172,21 @@ def connected_graph_classes(n: int) -> list[LabeledGraph]:
         seen.add(canon)
         classes.append(graph)
     return classes
+
+
+def rank_over_q(rows) -> int:
+    """Rank of a list of sparse vectors ({coordinate: number} dicts) over Q,
+    by Gaussian elimination in exact Fractions."""
+    pivots: list[tuple[object, dict]] = []
+    for row in rows:
+        work = {k: Fraction(v) for k, v in row.items() if v}
+        for key, pivot in pivots:
+            if key in work:
+                factor = work[key] / pivot[key]
+                for k, v in pivot.items():
+                    work[k] = work.get(k, 0) - factor * v
+                    if not work[k]:
+                        del work[k]
+        if work:
+            pivots.append((next(iter(work)), work))
+    return len(pivots)

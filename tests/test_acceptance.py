@@ -135,7 +135,7 @@ def test_criterion_05_almost_complete_intersections(capsys):
             if graph.edges in seen:
                 continue
             seen.add(graph.edges)
-            report = property_report(graph, include_radical=False)
+            report = property_report(graph)
             assert report.is_almost_complete_intersection == (graph.edges == cycle.edges), graph
     for n in range(4, 7):
         unicyclic = [
@@ -145,13 +145,13 @@ def test_criterion_05_almost_complete_intersections(capsys):
             if not (t == 1 and t + s == n)
         ]
         for graph in unicyclic:
-            report = property_report(graph, include_radical=False)
+            report = property_report(graph)
             assert report.is_almost_complete_intersection
         others = [complete_graph_minus_long_edge(n)] + ([figure2_graph()] if n == 6 else [])
         for graph in others:
             if graph.edges in {g.edges for g in unicyclic}:
                 continue
-            report = property_report(graph, include_radical=False)
+            report = property_report(graph)
             assert not report.is_almost_complete_intersection, graph
         closed = {g.edges for g in unicyclic if is_closed_labeling(g)}
         expected = {path_plus_chord(n, t, 2).edges for t in range(1, n - 1) if not (t == 1 and t + 2 == n)}

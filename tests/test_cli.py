@@ -1,10 +1,16 @@
 """Command line surface: text output, JSON envelopes, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelideals import hankel_edge_ideal, parse_polynomial, path_graph
 from hankelideals.cli import main
@@ -156,6 +162,78 @@ def test_minprimes_with_malformed_candidates(tmp_path, capsys):
     assert "bad candidate file" in err
 
 
+def test_minprimes_rejects_ill_typed_candidates(tmp_path, capsys):
+    cands = tmp_path / "cands.json"
+    for bad in ([1], [{"variables": "ab"}], [{"variables": [1.5]}], [{"variables": [True]}],
+                [{"variables": [2], "minors": [3]}]):
+        cands.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "minprimes", "--builtin", "l4", "--candidates", str(cands))
+        assert code == 2 and err.startswith("error: candidate"), bad
+    cands.write_text("[" * 100_000)
+    code, _, err = run(capsys, "minprimes", "--builtin", "l4", "--candidates", str(cands))
+    assert code == 2 and "nests too deeply" in err
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_NOT_A_POSITIVE_INT = st.one_of(
+    st.none(), st.booleans(), st.integers(max_value=0), st.floats(), st.text(max_size=3)
+)
+_GOOD_ENTRY = st.fixed_dictionaries({"variables": st.lists(st.integers(1, 5), min_size=1, max_size=3)})
+_BAD_ENTRY = st.one_of(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3), st.lists(st.integers(1, 5))),
+    st.fixed_dictionaries(
+        {"variables": st.one_of(st.text(max_size=3), st.integers(), st.lists(_NOT_A_POSITIVE_INT, min_size=1))}
+    ),
+    st.fixed_dictionaries(
+        {
+            "variables": st.lists(st.integers(1, 5), max_size=3),
+            "minors": st.one_of(
+                st.text(max_size=3),
+                st.integers(),
+                st.lists(st.integers(1, 6)).filter(lambda m: len(m) != 2),
+                st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), min_size=2, max_size=2),
+            ),
+        }
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.tuples(st.lists(_GOOD_ENTRY, max_size=2), _BAD_ENTRY).map(lambda p: json.dumps(p[0] + [p[1]])),
+    )
+)
+def test_malformed_candidate_files_are_usage_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "malformed-candidates.json"
+    path.write_text(text, encoding="utf-8")
+    code, err = _quiet_main(["minprimes", "--builtin", "l4", "--candidates", str(path)])
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-5, 5).map(str),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+    )
+)
+def test_budget_values_are_validated(text):
+    want = 0 if text.strip().isdecimal() else 2
+    code, err = _quiet_main([f"--budget={text}", "gen", "--builtin", "l3"])
+    assert code == want and "Traceback" not in err
+    with mock.patch.dict(os.environ, {"HANKEL_BUDGET": text}):
+        code, err = _quiet_main(["gen", "--builtin", "l3"])
+    assert code == (0 if not text else want) and "Traceback" not in err
+
+
 def test_minprimes_uncovered_class(capsys):
     code, _, err = run(capsys, "minprimes", "--builtin", "fig4")
     assert code == 2
@@ -216,6 +294,35 @@ def test_check_radical_without_candidate_list(capsys):
     code, out, _ = run(capsys, "check", "radical", "--builtin", "fig4")
     assert code == 2
     assert out == "radical: unknown (no verified minimal-prime list for this class)\n"
+
+
+def test_check_radical_unknown_needs_no_groebner_work(capsys):
+    basis_cache_clear()
+    code, out, _ = run(capsys, "--json", "check", "radical", "--builtin", "fig4")
+    assert code == 2
+    assert json.loads(out)["budget_used"] == 0
+
+
+def test_check_ci_costs_only_the_height(capsys):
+    used = []
+    for argv in (["check", "ci"], ["height"]):
+        basis_cache_clear()
+        _, out, _ = run(capsys, "--json", *argv, "--builtin", "fig4")
+        used.append(json.loads(out)["budget_used"])
+    assert used[0] == used[1] > 0
+
+
+def test_budget_rejects_negative_and_non_integers(capsys, monkeypatch):
+    for value in ("-5", "abc", "1.5"):
+        code, _, err = run(capsys, f"--budget={value}", "gen", "--builtin", "l3")
+        assert code == 2 and err.startswith("error: --budget"), value
+    monkeypatch.setenv("HANKEL_BUDGET", "abc")
+    code, _, err = run(capsys, "gen", "--builtin", "l3")
+    assert code == 2 and err.startswith("error: HANKEL_BUDGET")
+    # zero stays a real limit
+    basis_cache_clear()
+    code, _, err = run(capsys, "--budget", "0", "gb", "--builtin", "k4")
+    assert code == 3 and "budget exhausted after 0" in err
 
 
 def test_enum_rooted_rejects_non_tree(capsys):

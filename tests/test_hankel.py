@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelideals import (
     Ideal,
@@ -47,10 +49,11 @@ from hankelideals.hankel import (
     TheoremInstance,
     expected_t1_initial,
     expected_t2_initial,
+    radical_verdict,
     run_instance,
     theorem_instances,
 )
-from oracles import connected_graph_classes
+from oracles import connected_graph_classes, rank_over_q
 
 HAMILTONIAN_FIXTURES = [cycle_graph(n) for n in (3, 4, 5, 6)] + [
     complete_graph(n) for n in (3, 4, 5)
@@ -248,6 +251,8 @@ def test_verify_requires_candidates():
 def test_property_report_requires_connected():
     with pytest.raises(ValueError):
         property_report(LabeledGraph.of(4, [(1, 2), (3, 4)]))
+    with pytest.raises(ValueError):
+        radical_verdict(LabeledGraph.of(4, [(1, 2), (3, 4)]))
 
 
 def test_property_report_fixture_values():
@@ -255,24 +260,22 @@ def test_property_report_fixture_values():
     assert (r.generator_count, r.height) == (5, 4)
     assert not r.is_complete_intersection
     assert r.is_almost_complete_intersection
-    assert r.is_radical is False
+    assert radical_verdict(figure3_graph())[0] is False
 
     r = property_report(t1_path(4))
     assert (r.generator_count, r.height) == (3, 3)
     assert r.is_complete_intersection and not r.is_almost_complete_intersection
-    assert r.is_radical is False
+    assert radical_verdict(t1_path(4))[0] is False
 
-    r = property_report(complete_graph(4))
-    assert r.is_radical is True
+    assert radical_verdict(complete_graph(4))[0] is True
 
-    r = property_report(figure4_tree(), include_radical=False)
-    assert r.is_radical is None
+    assert radical_verdict(figure4_tree())[0] is None
 
 
 def test_property_report_radical_unknown_outside_covered_classes():
-    r = property_report(figure4_tree())
-    assert r.is_radical is None
-    assert any("unknown" in note for note in r.checks)
+    value, note = radical_verdict(figure4_tree())
+    assert value is None
+    assert "unknown" in note
 
 
 def test_mu_equals_edge_count_with_minimality():
@@ -282,6 +285,27 @@ def test_mu_equals_edge_count_with_minimality():
         hank = hankel_edge_ideal(graph)
         assert len(hank.ideal.generators) == len(graph.edges)
         assert is_minimal_generating_set(hank.ideal)
+
+
+def test_complete_graph_minors_have_full_rank():
+    # so every set of minors on n columns is linearly independent, which is
+    # what property_report's mu = |E| rests on
+    for n in range(2, 10):
+        gens = hankel_edge_ideal(complete_graph(n)).ideal.generators
+        assert rank_over_q(dict(g.terms) for g in gens) == n * (n - 1) // 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mu_is_the_edge_count_on_random_connected_graphs(data):
+    n = data.draw(st.integers(2, 6))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    spanning = [(order[k], order[data.draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    graph = LabeledGraph.of(n, spanning + extra)
+    assert property_report(graph).generator_count == len(graph.edges)
+    assert is_minimal_generating_set(hankel_edge_ideal(graph).ideal)
 
 
 def test_hamiltonian_and_semi_heights():
@@ -323,12 +347,12 @@ def test_radical_exactly_for_the_two_complete_fixtures():
                 graph = LabeledGraph.of(n, spine + list(extra))
                 labels = classify_labeling(graph)
                 assert labels.labeled_hamiltonian or labels.labeled_semi_hamiltonian
-                report = property_report(graph)
+                value, _ = radical_verdict(graph)
                 if labels.labeled_hamiltonian:
                     want = graph.edges == complete_graph(n).edges
                 else:
                     want = graph.edges == complete_graph_minus_long_edge(n).edges
-                assert report.is_radical == want, graph
+                assert value == want, graph
 
 
 def test_initial_ideal_ci_triple():
