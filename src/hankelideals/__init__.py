@@ -16,7 +16,6 @@ from .ring import (
     Polynomial,
     PolynomialParseError,
     REVLEX,
-    Term,
     VariableContext,
     block_elim,
     extend_polynomial,

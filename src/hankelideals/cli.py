@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="replay a named claim over a range of n")
     sub.add_argument("--theorem", required=True, choices=sorted(TAG_BOUNDS), help="claim tag")
     sub.add_argument("--max-n", type=int, required=True, metavar="INT", help="largest n to include")
-    sub.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes (default 1)")
+    sub.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes (default 1, at most the CPU count)")
 
     sub = commands.add_parser("enum-rooted", help="list all rooted labelings of a tree shape")
     _add_graph_source(sub)

@@ -92,10 +92,6 @@ class Ideal:
     def of(cls, context: VariableContext, generators) -> "Ideal":
         return cls(context, tuple(generators))
 
-    def normalized(self) -> "Ideal":
-        """Drops duplicate generators, keeping first occurrences."""
-        return Ideal(self.context, tuple(dict.fromkeys(self.generators)))
-
 
 @dataclass(frozen=True)
 class ReducedGroebnerBasis:
@@ -116,11 +112,6 @@ class ReducedGroebnerBasis:
 # ---------------------------------------------------------------------------
 
 
-def _leading(p: Polynomial, order: MonomialOrder):
-    t = p.leading_term(order)
-    return t.monomial, t.coefficient
-
-
 def normal_form(p: Polynomial, basis, order: MonomialOrder = REVLEX) -> Polynomial:
     """Remainder of p under multivariate division by the listed polynomials."""
     reducers = []
@@ -129,7 +120,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = REVLEX) -> Polynomi
             raise ContextMismatchError("incompatible contexts")
         if g.is_zero:
             raise ValueError("zero divisors are not allowed in a basis")
-        reducers.append((*_leading(g, order), g.terms))
+        reducers.append((*g.leading_term(order), g.terms))
     key = order.sort_key
     work = dict(p.terms)
     remainder: dict = {}
@@ -158,8 +149,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = REVLEX) ->
     """S(f, g) = (L / lt f) f - (L / lt g) g with L = lcm of the leading monomials."""
     if f.context != g.context:
         raise ContextMismatchError("incompatible contexts")
-    fm, fc = _leading(f, order)
-    gm, gc = _leading(g, order)
+    fm, fc = f.leading_term(order)
+    gm, gc = g.leading_term(order)
     lcm = mono_lcm(fm, gm)
     left = f.times_term(1 / fc, mono_div(lcm, fm))
     right = g.times_term(1 / gc, mono_div(lcm, gm))

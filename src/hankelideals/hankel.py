@@ -18,6 +18,7 @@ instance sweeps.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -272,11 +273,11 @@ def verify_minimal_primes(
     meet = expanded[0]
     for prime in expanded[1:]:
         meet = intersect_ideals(meet, prime, budget=budget)
-    ideal_below = all(ideal_member(g, meet, REVLEX, budget=budget) for g in gens)
-    meet_in_radical = all(
+    # I lies in the meet exactly when it lies in every candidate, which
+    # `contains` already decided; only meet <= rad(I) needs more work.
+    intersection_is_radical = all(contains) and all(
         radical_member(q, hankel.ideal, budget=budget) for q in meet.generators
     )
-    intersection_is_radical = ideal_below and meet_in_radical
 
     verified = all(contains) and all(incomparable) and intersection_is_radical
     return MinimalPrimesReport(
@@ -384,17 +385,6 @@ TAG_BOUNDS = {
     "thm3.2": (2, 7),
     "prop3.5": (3, 8),
     "prop2.8-radical": (4, 7),
-}
-
-TAG_SUMMARIES = {
-    "thm2.2": "height n-1 and verified minimal primes for (semi-)Hamiltonian fixtures",
-    "cor2.3": "complete graph gives the curve ideal; dropping {1,n} intersects in (x2..xn)",
-    "prop2.6": "almost complete intersections: the cycle, and the path plus one long chord",
-    "cor2.7": "among the path-plus-chord family, closed labelings are exactly span two",
-    "thm3.1": "rooted labeled non-path trees have height at most n-2",
-    "thm3.2": "rooted labeled trees: CI exactly for paths rooted at or next to a leaf",
-    "prop3.5": "closed-form initial ideals for the two special rooted path labelings",
-    "prop2.8-radical": "semi-Hamiltonian ideals share the labeled path's radical",
 }
 
 
@@ -672,6 +662,9 @@ def theorem_instances(tag: str, max_n: int, min_n: int | None = None) -> list[Th
     out: list[TheoremInstance] = []
     for n in range(start, max_n + 1):
         out.extend(_BUILDERS[tag](n))
+    if not out:
+        # an empty sweep would report 0/0 as a pass
+        raise ValueError(f"no {tag} instances for n from {start} to {max_n}")
     return out
 
 
@@ -690,13 +683,17 @@ def verify_theorem(
 ) -> TheoremReport:
     """Runs every instance of a tagged claim for n up to max_n.
 
-    With jobs > 1 the instances fan out to worker processes; results are
-    reassembled in instance order, and per-instance pair counts are
-    placement-independent, so reports are identical either way.
+    With jobs > 1 the instances fan out to worker processes, at most one per
+    instance and per CPU; results are reassembled in instance order, and
+    per-instance pair counts are placement-independent, so reports are
+    identical either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     instances = theorem_instances(tag, max_n, min_n)
-    if jobs > 1 and len(instances) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(run_instance, instances, [budget] * len(instances)))
     else:
         results = tuple(run_instance(inst, budget) for inst in instances)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from operator import itemgetter
+from operator import itemgetter, neg
 
 Mono = tuple[int, ...]
 
@@ -138,29 +137,21 @@ class MonomialOrder:
         if self.kind != "elim" and self.elim_count:
             raise ValueError("elim_count applies only to elimination orders")
 
+    def sort_key(self, m: Mono) -> tuple:
+        """A plain tuple key for m, ascending in the order; use with sorted()/max()."""
+        if self.kind == "revlex":
+            return _revlex_key(m)
+        if self.kind == "lex":
+            return m
+        tail = m[-self.elim_count:]
+        return (sum(tail), tail, _revlex_key(m[:-self.elim_count]))
+
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 as a is smaller than, equal to or greater than b."""
-        if len(a) != len(b):
+        if len(a) != len(b) or (self.kind == "elim" and len(a) <= self.elim_count):
             raise ContextMismatchError("incompatible contexts")
-        if self.kind == "revlex":
-            return _cmp_revlex(a, b)
-        if self.kind == "lex":
-            return _cmp_lex(a, b)
-        split = len(a) - self.elim_count
-        if split < 1:
-            raise ContextMismatchError("incompatible contexts")
-        da, db = sum(a[split:]), sum(b[split:])
-        if da != db:
-            return -1 if da < db else 1
-        c = _cmp_lex(a[split:], b[split:])
-        if c:
-            return c
-        return _cmp_revlex(a[:split], b[:split])
-
-    @property
-    def sort_key(self):
-        """A key function usable with sorted()/max(); ascending in the order."""
-        return _order_key_class(self)
+        ka, kb = self.sort_key(a), self.sort_key(b)
+        return (ka > kb) - (ka < kb)
 
     def __str__(self) -> str:
         if self.kind == "elim":
@@ -168,28 +159,9 @@ class MonomialOrder:
         return self.kind
 
 
-def _cmp_revlex(a: Mono, b: Mono) -> int:
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    for i in range(len(a) - 1, -1, -1):
-        d = a[i] - b[i]
-        if d:
-            return 1 if d < 0 else -1
-    return 0
-
-
-def _cmp_lex(a: Mono, b: Mono) -> int:
-    for x, y in zip(a, b):
-        d = x - y
-        if d:
-            return 1 if d > 0 else -1
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _order_key_class(order: MonomialOrder):
-    return cmp_to_key(order.compare)
+def _revlex_key(m: Mono) -> tuple:
+    # on equal degree the larger monomial has the smaller last differing entry
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 REVLEX = MonomialOrder("revlex")
@@ -201,14 +173,8 @@ def block_elim(count: int = 1) -> MonomialOrder:
 
 
 # ---------------------------------------------------------------------------
-# terms and polynomials
+# polynomials
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction
-    monomial: Mono
 
 
 @dataclass(frozen=True)
@@ -284,7 +250,8 @@ class Polynomial:
             return -1
         return max(mono_deg(m) for m, _ in self.terms)
 
-    def leading_term(self, order: MonomialOrder = REVLEX) -> Term:
+    def leading_term(self, order: MonomialOrder = REVLEX) -> tuple[Mono, Fraction]:
+        """The (monomial, coefficient) pair of the largest term under `order`."""
         # Remembered per order in the instance dict, outside the dataclass
         # fields, so equality and hashing ignore it; __getstate__ drops it.
         leads = self.__dict__.setdefault("_leads", {})
@@ -293,15 +260,14 @@ class Polynomial:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
             key = order.sort_key
-            mono, coeff = max(self.terms, key=lambda t: key(t[0]))
-            term = leads[order] = Term(coeff, mono)
+            term = leads[order] = max(self.terms, key=lambda t: key(t[0]))
         return term
 
     def leading_monomial(self, order: MonomialOrder = REVLEX) -> Mono:
-        return self.leading_term(order).monomial
+        return self.leading_term(order)[0]
 
     def leading_coefficient(self, order: MonomialOrder = REVLEX) -> Fraction:
-        return self.leading_term(order).coefficient
+        return self.leading_term(order)[1]
 
     def monic(self, order: MonomialOrder = REVLEX) -> "Polynomial":
         if not self.terms:

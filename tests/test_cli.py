@@ -234,6 +234,25 @@ def test_budget_values_are_validated(text):
     assert code == (0 if not text else want) and "Traceback" not in err
 
 
+_GRAPH_LINE = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12),
+    st.tuples(
+        st.sampled_from(["n", "e", "#", "N", "edge", ""]),
+        st.lists(st.one_of(st.integers(-3, 9).map(str), st.sampled_from(["x", "1.5", "²", "0x3"])), max_size=3),
+    ).map(lambda p: " ".join([p[0], *p[1]])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_GRAPH_LINE, max_size=6).map("\n".join))
+def test_malformed_graph_files_are_usage_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "malformed.graph"
+    path.write_text(text, encoding="utf-8")
+    for command in ("gen", "classify"):
+        code, err = _quiet_main([command, "--graph", str(path)])
+        assert code in (0, 2) and "Traceback" not in err
+
+
 def test_minprimes_uncovered_class(capsys):
     code, _, err = run(capsys, "minprimes", "--builtin", "fig4")
     assert code == 2
@@ -257,6 +276,19 @@ def test_verify_jobs_do_not_change_output(capsys):
     _, seq, _ = run(capsys, "verify", "--theorem", "thm3.1", "--max-n", "5")
     _, par, _ = run(capsys, "verify", "--theorem", "thm3.1", "--max-n", "5", "--jobs", "2")
     assert seq == par
+
+
+def test_verify_rejects_empty_ranges_and_bad_jobs(capsys):
+    for argv in (
+        ["--theorem", "thm2.2", "--max-n", "1"],
+        ["--theorem", "thm2.2", "--max-n", "-4"],
+        ["--theorem", "cor2.7", "--max-n", "3"],
+        ["--theorem", "prop3.5", "--max-n", "5", "--jobs", "0"],
+        ["--theorem", "prop3.5", "--max-n", "5", "--jobs", "-1"],
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
 
 
 # -- budgets -----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Edge ideals, structured primes, verification reports, theorem sweeps."""
 
 import itertools
+import os
 import pickle
 import random
 
@@ -45,6 +46,7 @@ from hankelideals import (
     verify_minimal_primes,
     verify_theorem,
 )
+from hankelideals import hankel as hankel_module
 from hankelideals.hankel import (
     TheoremInstance,
     expected_t1_initial,
@@ -221,6 +223,26 @@ def test_verify_minimal_primes_on_small_fixtures():
             assert ideal_member(g, report.intersection)
 
 
+def test_containment_in_each_candidate_is_containment_in_their_intersection():
+    # verify_minimal_primes reads "I lies in the meet" off `contains_ideal`;
+    # recheck it against the meet's own Groebner basis
+    cases = [
+        (graph, minimal_prime_candidates(graph))
+        for graph in (t1_path(4), t1_path(5), t1_path(6), t2_path(5), figure2_graph(), cycle_graph(5))
+    ]
+    cases.append((path_graph(4), [rational_curve_prime(4)]))
+    # one candidate misses the ideal, yet the meet still lies in the radical
+    extra = StructuredPrime(frozenset({2, 3, 4}), None)
+    cases.append((cycle_graph(4), [*minimal_prime_candidates(cycle_graph(4)), extra]))
+    for graph, cands in cases:
+        hank = hankel_edge_ideal(graph)
+        report = verify_minimal_primes(hank, cands)
+        in_meet = all(ideal_member(g, report.intersection) for g in hank.ideal.generators)
+        assert all(report.contains_ideal) == in_meet, graph
+    assert report.contains_ideal[-1] is False
+    assert not report.intersection_is_radical
+
+
 def test_verify_rejects_wrong_candidates():
     hank = hankel_edge_ideal(cycle_graph(4))
     wrong = [StructuredPrime(frozenset({2, 3, 4}), None)]
@@ -383,6 +405,10 @@ def test_theorem_tag_bounds():
         verify_theorem("thm2.2", 7)
     with pytest.raises(ValueError, match="below"):
         theorem_instances("cor2.7", 5, min_n=2)
+    # an empty range would replay as a 0/0 pass
+    for tag, max_n in [("thm2.2", 1), ("thm2.2", -4), ("cor2.7", 3), ("thm3.1", 3)]:
+        with pytest.raises(ValueError, match="no .* instances"):
+            theorem_instances(tag, max_n)
 
 
 def test_small_sweeps_pass():
@@ -412,6 +438,32 @@ def test_parallel_sweep_agrees_with_sequential():
     assert [(r.name, r.passed, r.detail) for r in seq.results] == [
         (r.name, r.passed, r.detail) for r in par.results
     ]
+
+
+def test_parallel_sweep_starts_at_most_one_worker_per_cpu_and_instance(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hankel_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert verify_theorem("prop3.5", 5, jobs=10**6).all_passed  # 5 instances
+    verify_theorem("prop3.5", 4, jobs=10**6)  # 3 instances
+    assert started == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify_theorem("prop3.5", 5, jobs=10**6).all_passed
+    assert started == [4, 3]  # one CPU assumed: no pool at all
 
 
 def test_sweep_detects_a_falsified_claim():

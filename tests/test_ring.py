@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key, partial
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,21 @@ def test_block_order_matches_bruteforce_oracle():
     pool = monomials_up_to(4, 3)
     for a, b in itertools.product(pool, repeat=2):
         assert order.compare(a, b) == block_cmp(a, b, 1), (a, b)
+
+
+@pytest.mark.parametrize(
+    "order, cmp",
+    [
+        (REVLEX, revlex_cmp),
+        (LEX, lex_cmp),
+        (block_elim(1), partial(block_cmp, elim=1)),
+        (block_elim(2), partial(block_cmp, elim=2)),
+    ],
+    ids=["revlex", "lex", "elim(1)", "elim(2)"],
+)
+def test_sort_key_sorts_like_the_oracle_comparator(order, cmp):
+    pool = monomials_up_to(4, 3)
+    assert sorted(pool, key=order.sort_key) == sorted(pool, key=cmp_to_key(cmp))
 
 
 def test_revlex_examples():
