@@ -12,6 +12,10 @@ plus a contiguous block of minors.
 minimal primes: each candidate must contain the ideal, the candidates must be
 pairwise incomparable, and their intersection must equal the radical (checked
 in both directions, membership one way and radical membership the other).
+Pure-variable candidates meet combinatorially, as monomial ideals; only
+candidates with a minor block go through t-elimination.  Radical membership
+looks for a power of each meet generator in the ideal first, with the
+Rabinowitsch test as the fallback.
 `verify_theorem` packages the classification claims as named, replayable
 instance sweeps.
 """
@@ -23,7 +27,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .ring import Polynomial, REVLEX, VariableContext
+from .ring import Polynomial, REVLEX, VariableContext, mono_lcm, unit_mono
 from .groebner import (
     Ideal,
     MonomialIdeal,
@@ -234,6 +238,22 @@ class MinimalPrimesReport:
     intersection: Ideal | None = field(compare=False, default=None)
 
 
+def _monomial_meet(context: VariableContext, ideals) -> Ideal:
+    """The intersection of monomial ideals, with no Groebner work.
+
+    Two monomial ideals meet in the ideal generated by the lcms of their
+    generators, one from each, so the variable primes (x_S) meet in the lcms
+    of one variable from each S.  Minimalized, made monic and sorted
+    ascending in revlex, the monomials are the reduced revlex basis.
+    """
+    monos = [unit_mono(context.total_count)]
+    for ideal in ideals:
+        lcms = (mono_lcm(m, g.leading_monomial()) for m in monos for g in ideal.generators)
+        monos = MonomialIdeal.from_monomials(context, lcms).generators
+    ordered = sorted(monos, key=REVLEX.sort_key)
+    return Ideal.of(context, (Polynomial.from_dict(context, {m: 1}) for m in ordered))
+
+
 def verify_minimal_primes(
     hankel: HankelIdeal, candidates, *, budget: int | None = None
 ) -> MinimalPrimesReport:
@@ -270,8 +290,14 @@ def verify_minimal_primes(
         for i in range(count)
     )
 
-    meet = expanded[0]
-    for prime in expanded[1:]:
+    # Variable primes meet combinatorially; only minor blocks need
+    # t-elimination, chained from the fewest generators up.
+    pure = [e for c, e in zip(candidates, expanded) if c.minor_range is None]
+    blocks = [e for c, e in zip(candidates, expanded) if c.minor_range is not None]
+    if len(pure) > 1:
+        pure = [_monomial_meet(context, pure)]
+    meet, *rest = pure + sorted(blocks, key=lambda e: len(e.generators))
+    for prime in rest:
         meet = intersect_ideals(meet, prime, budget=budget)
     # I lies in the meet exactly when it lies in every candidate, which
     # `contains` already decided; only meet <= rad(I) needs more work.

@@ -113,6 +113,22 @@ def plain_buchberger(generators, cmp) -> list:
     return [Polynomial.from_dict(context, p) for p in minimal]
 
 
+def rabinowitsch_member(p: Polynomial, generators) -> bool:
+    """Whether p lies in the radical of the ideal the generators span: 1
+    lies in (generators) + (1 - t*p) with one fresh variable t, decided by
+    `plain_buchberger` under revlex (the reduced basis of the unit ideal is
+    just 1)."""
+    ext = p.context.extended("radical")
+    unit = (0,) * ext.total_count
+    lifted = [{m + (0,): c for m, c in g.terms} for g in generators]
+    witness = {unit: 1}
+    for m, c in p.terms:
+        witness[m + (1,)] = -c
+    polys = [Polynomial.from_dict(ext, d) for d in lifted + [witness]]
+    basis = plain_buchberger(polys, revlex_cmp)
+    return [b.terms for b in basis] == [((unit, 1),)]
+
+
 def monomials_up_to(width: int, max_deg: int):
     """Every exponent tuple of the given width with total degree <= max_deg."""
     out = []

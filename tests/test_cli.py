@@ -1,6 +1,7 @@
 """Command line surface: text output, JSON envelopes, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelideals import hankel_edge_ideal, parse_polynomial, path_graph
+from hankelideals import (
+    StructuredPrime,
+    builtin_graph,
+    format_polynomial,
+    hankel_edge_ideal,
+    intersect_ideals,
+    minimal_prime_candidates,
+    parse_polynomial,
+    path_graph,
+)
 from hankelideals.cli import main
 from hankelideals.groebner import basis_cache_clear
 from hankelideals.ring import VariableContext
@@ -320,6 +330,53 @@ def test_budget_flag_does_not_change_pairs_used(capsys):
         assert code == 0
         used.append(json.loads(out)["budget_used"])
     assert used[0] == used[1]
+
+
+# counts reached with power witnesses and the combinatorial meet of variable
+# primes; Rabinowitsch tests and eliminations chained over every candidate
+# took 1843, 2506, 4689 and 3100
+CERTIFICATE_PAIR_BOUNDS = [
+    (("minprimes", "--builtin", "t1-7"), 441),
+    (("minprimes", "--builtin", "t2-7"), 452),
+    (("verify", "--theorem", "prop2.8-radical", "--max-n", "7"), 571),
+    (("verify", "--theorem", "thm2.2", "--max-n", "6"), 1082),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bound", CERTIFICATE_PAIR_BOUNDS, ids=["t1-7", "t2-7", "prop2.8-radical", "thm2.2"]
+)
+def test_certificate_pair_counts_stay_within_the_witness_bounds(capsys, argv, bound):
+    basis_cache_clear()
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert json.loads(out)["budget_used"] <= bound
+
+
+PURE_VARIABLE_CANDIDATES = [[1, 3], [2, 4], [3, 5], [1, 5]]
+
+
+@pytest.mark.parametrize(
+    "builtin", ["t1-3", "t1-4", "t1-5", "t1-6", "t1-7", "t2-4", "t2-5", "t2-6", "t2-7", "c4"]
+)
+def test_minprimes_evidence_is_the_chained_intersection(tmp_path, capsys, builtin):
+    # the reported meet must be the basis that eliminations chained over the
+    # candidates, in their listed order, produce; c4 reads a file of
+    # pure-variable primes
+    graph = builtin_graph(builtin)
+    argv = ["--json", "minprimes", "--builtin", builtin]
+    if builtin == "c4":
+        cands = [StructuredPrime(frozenset(v)) for v in PURE_VARIABLE_CANDIDATES]
+        path = tmp_path / "cands.json"
+        path.write_text(json.dumps([{"variables": v} for v in PURE_VARIABLE_CANDIDATES]))
+        argv += ["--candidates", str(path)]
+    else:
+        cands = minimal_prime_candidates(graph)
+    context = hankel_edge_ideal(graph).ideal.context
+    chained = functools.reduce(intersect_ideals, [c.expand(context) for c in cands])
+    _, out, _ = run(capsys, *argv)
+    evidence = json.loads(out)["evidence"]["intersection_generators"]
+    assert evidence == [format_polynomial(g) for g in chained.generators]
 
 
 def test_check_radical_without_candidate_list(capsys):

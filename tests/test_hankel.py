@@ -1,5 +1,6 @@
 """Edge ideals, structured primes, verification reports, theorem sweeps."""
 
+import functools
 import itertools
 import os
 import pickle
@@ -32,6 +33,7 @@ from hankelideals import (
     ideal_member,
     ideals_equal,
     initial_ideal,
+    intersect_ideals,
     is_minimal_generating_set,
     minimal_prime_candidates,
     monomial_is_complete_intersection,
@@ -241,6 +243,24 @@ def test_containment_in_each_candidate_is_containment_in_their_intersection():
         assert all(report.contains_ideal) == in_meet, graph
     assert report.contains_ideal[-1] is False
     assert not report.intersection_is_radical
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_meet_matches_chained_eliminations(data):
+    # variable primes meet without Groebner work and minor blocks are
+    # chained in another order, yet the reduced basis must not move
+    n = data.draw(st.integers(3, 5))
+    variables = st.frozensets(st.integers(1, n + 1), min_size=1, max_size=3)
+    cands = [StructuredPrime(s) for s in data.draw(st.lists(variables, min_size=1, max_size=4))]
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(1, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        rest = data.draw(st.frozensets(st.integers(1, n + 1), max_size=2)) - set(range(a, b + 2))
+        cands.insert(data.draw(st.integers(0, len(cands))), StructuredPrime(rest, (a, b)))
+    hank = hankel_edge_ideal(path_graph(n))
+    chained = functools.reduce(intersect_ideals, [c.expand(hank.ideal.context) for c in cands])
+    assert verify_minimal_primes(hank, cands).intersection == chained
 
 
 def test_verify_rejects_wrong_candidates():

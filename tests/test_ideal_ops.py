@@ -1,6 +1,8 @@
 """Ideal-level operations: intersection, radicals, dimension, heights."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hankelideals import (
     Ideal,
+    LabeledGraph,
     MonomialIdeal,
     Polynomial,
     REVLEX,
@@ -18,6 +21,7 @@ from hankelideals import (
     figure1_graph,
     figure2_graph,
     hankel_edge_ideal,
+    hankel_generator,
     height,
     ideal_member,
     ideals_equal,
@@ -33,7 +37,8 @@ from hankelideals import (
     t1_path,
     t2_path,
 )
-from oracles import monomial_dim_by_subsets
+from hankelideals import ideal_ops
+from oracles import monomial_dim_by_subsets, rabinowitsch_member
 
 CONNECTED_FIXTURES = [
     path_graph(2),
@@ -131,6 +136,49 @@ def test_zero_and_one_radical_membership():
     ctx = ideal.context
     assert radical_member(Polynomial.zero(ctx), ideal)
     assert not radical_member(Polynomial.one(ctx), ideal)
+
+
+def test_radical_member_rejects_a_variable_and_a_constant():
+    ideal = ideal_of(path_graph(4))
+    ctx = ideal.context
+    assert not radical_member(Polynomial.variable(ctx, 1), ideal)
+    assert not radical_member(Polynomial.constant(ctx, 3), ideal)
+
+
+def test_radical_member_falls_back_past_the_power_walk():
+    ctx = VariableContext(3)
+    x1 = Polynomial.variable(ctx, 1)
+    ideal = Ideal(ctx, (x1 ** 33,))
+    # no power the walk tries lies in the ideal, so only Rabinowitsch can say yes
+    assert not ideal_member(x1 ** ideal_ops._POWER_STEPS, ideal)
+    assert radical_member(x1, ideal)
+
+
+def test_radical_member_stops_a_growing_power_walk(monkeypatch):
+    # two disjoint edges leave a 4-dimensional quotient; the remainders of
+    # this p outside the radical grow as k^2, and walking all the way to
+    # _POWER_STEPS took over 30 s where Rabinowitsch takes a millisecond
+    ideal = ideal_of(LabeledGraph.of(5, [(2, 3), (4, 5)]))
+    p = hankel_generator(ideal.context, 1, 3) * hankel_generator(ideal.context, 2, 4)
+    steps = []
+    reduce = ideal_ops.normal_form
+    monkeypatch.setattr(ideal_ops, "normal_form", lambda *a: steps.append(1) or reduce(*a))
+    assert not radical_member(p, ideal)
+    assert len(steps) < 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_radical_member_agrees_with_the_rabinowitsch_oracle(data):
+    n = data.draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    ideal = ideal_of(LabeledGraph.of(n, edges))
+    ctx = ideal.context
+    pool = [hankel_generator(ctx, i, j) for i, j in pairs]
+    pool += [Polynomial.variable(ctx, v) for v in range(1, n + 2)]
+    p = functools.reduce(operator.mul, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+    assert radical_member(p, ideal) == rabinowitsch_member(p, ideal.generators)
 
 
 def test_radicals_equal_cases():
