@@ -124,9 +124,11 @@ def _resolve_budget(args) -> int | None:
         text, source = os.environ.get("HANKEL_BUDGET"), "HANKEL_BUDGET"
         if not text:
             return None
-    if not text.strip().isdecimal():
+    # int() rejects some characters str.strip() removes, such as '\x1f'
+    digits = text.strip()
+    if not digits.isdecimal():
         raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
-    return int(text)
+    return int(digits)
 
 
 def _bool_word(value) -> str:

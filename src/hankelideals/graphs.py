@@ -9,7 +9,7 @@ statements about the labels, not the isomorphism class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 Edge = tuple[int, int]
 
@@ -242,28 +242,6 @@ def enumerate_rooted_labelings(tree: LabeledGraph) -> list[LabeledGraph]:
 # ---------------------------------------------------------------------------
 
 
-def tree_from_pruefer(sequence: tuple[int, ...], n: int) -> LabeledGraph:
-    """Decodes a Pruefer sequence over {1..n} of length n - 2 into a tree."""
-    if n < 2:
-        raise ValueError("Pruefer decoding needs at least two vertices")
-    if len(sequence) != n - 2:
-        raise ValueError("sequence length must be n - 2")
-    degree = {v: 1 for v in range(1, n + 1)}
-    for v in sequence:
-        degree[v] += 1
-    edges = []
-    remaining = list(sequence)
-    for v in remaining:
-        leaf = min(u for u in degree if degree[u] == 1)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[leaf] -= 1
-        degree[v] -= 1
-        del degree[leaf]
-    u, w = sorted(u for u in degree if degree[u] == 1)
-    edges.append((u, w))
-    return LabeledGraph.of(n, edges)
-
-
 def tree_canonical_form(tree: LabeledGraph) -> str:
     """A canonical encoding identifying trees up to isomorphism.
 
@@ -298,19 +276,24 @@ def _centers(tree: LabeledGraph) -> list[int]:
 def tree_classes(n: int) -> list[LabeledGraph]:
     """One representative per isomorphism class of trees on n vertices.
 
-    Representatives come from exhausting all Pruefer sequences, so the list
-    is complete; order is fixed by the canonical encodings.
+    A tree with a root and ordered children is a plane tree, and labeling a
+    plane tree breadth first gives a rooted labeling: in label order, vertex
+    v takes the next c_v labels as its children.  Walking every such
+    child-count sequence, Catalan(n - 1) of them, therefore meets every
+    shape.  The first tree per canonical encoding is kept, and the encodings
+    fix the order.
     """
-    if n == 1:
-        return [LabeledGraph.of(1, [])]
-    if n == 2:
-        return [LabeledGraph.of(2, [(1, 2)])]
     seen: dict[str, LabeledGraph] = {}
-    for sequence in product(range(1, n + 1), repeat=n - 2):
-        tree = tree_from_pruefer(sequence, n)
-        key = tree_canonical_form(tree)
-        if key not in seen:
-            seen[key] = tree
+
+    def grow(edges: list[Edge], v: int, given: int):
+        if given == n:
+            tree = LabeledGraph.of(n, edges)
+            seen.setdefault(tree_canonical_form(tree), tree)
+        elif v <= given:
+            for last in range(given, n + 1):
+                grow(edges + [(v, w) for w in range(given + 1, last + 1)], v + 1, last)
+
+    grow([], 1, 1)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -362,7 +362,10 @@ def radical_verdict(graph: LabeledGraph, *, budget: int | None = None) -> tuple[
     report = verify_minimal_primes(hank, cands, budget=budget)
     if not report.verified:
         return None, "radical: unknown (candidate verification failed)"
-    is_rad = ideals_equal(hank.ideal, report.intersection, REVLEX, budget=budget)
+    # I lies in the meet, so I is radical exactly when the meet lies in I
+    is_rad = all(
+        ideal_member(q, hank.ideal, REVLEX, budget=budget) for q in report.intersection.generators
+    )
     return is_rad, "radical decided against the verified prime intersection"
 
 
@@ -540,17 +543,16 @@ def _check_cor27(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
 def _labeled_trees(n: int, paths: bool | None):
     """All rooted labelings of all trees on n vertices; optionally filter
     path shapes in (True) or out (False)."""
-    for shape_index, shape in enumerate(tree_classes(n)):
+    for shape in tree_classes(n):
         if paths is not None and shape.is_path_shape() != paths:
             continue
-        for labeled in enumerate_rooted_labelings(shape):
-            yield shape_index, labeled
+        yield from enumerate_rooted_labelings(shape)
 
 
 def _instances_thm31(n: int) -> list[TheoremInstance]:
     return [
         TheoremInstance("thm3.1", f"thm3.1 n={n} tree {_edge_str(t)}", (t,))
-        for _, t in _labeled_trees(n, paths=False)
+        for t in _labeled_trees(n, paths=False)
     ]
 
 
@@ -563,7 +565,7 @@ def _check_thm31(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
 def _instances_thm32(n: int) -> list[TheoremInstance]:
     return [
         TheoremInstance("thm3.2", f"thm3.2 n={n} tree {_edge_str(t)}", (t,))
-        for _, t in _labeled_trees(n, paths=None)
+        for t in _labeled_trees(n, paths=None)
     ]
 
 

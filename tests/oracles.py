@@ -167,6 +167,37 @@ def rooted_labelings_by_filter(tree: LabeledGraph, predicate) -> list[LabeledGra
     return sorted(out, key=lambda g: sorted(g.edges))
 
 
+def tree_from_pruefer(sequence: tuple[int, ...], n: int) -> LabeledGraph:
+    """Decodes a Pruefer sequence over {1..n} of length n - 2 into a tree."""
+    degree = {v: 1 for v in range(1, n + 1)}
+    for v in sequence:
+        degree[v] += 1
+    edges = []
+    for v in sequence:
+        leaf = min(u for u in degree if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        del degree[leaf]
+    edges.append(tuple(degree))
+    return LabeledGraph.of(n, edges)
+
+
+def pruefer_trees(n: int) -> list[LabeledGraph]:
+    """All n^(n-2) labeled trees on n >= 2 vertices, one per Pruefer sequence."""
+    return [
+        tree_from_pruefer(sequence, n)
+        for sequence in itertools.product(range(1, n + 1), repeat=n - 2)
+    ]
+
+
+def relabelings(graph: LabeledGraph) -> set[frozenset]:
+    """The edge sets of all n! relabelings of a graph: its isomorphism class."""
+    return {
+        frozenset(tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in graph.edges)
+        for perm in itertools.permutations(range(1, graph.n + 1))
+    }
+
+
 def connected_graph_classes(n: int) -> list[LabeledGraph]:
     """Isomorphism classes of connected graphs on n >= 2 vertices, brute force
     over all edge subsets with canonical forms over all permutations."""

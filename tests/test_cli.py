@@ -392,6 +392,18 @@ def test_check_radical_unknown_needs_no_groebner_work(capsys):
     assert json.loads(out)["budget_used"] == 0
 
 
+@pytest.mark.parametrize("builtin", ["t1-7", "t2-7", "fig2", "k5-e", "l4"])
+def test_check_radical_costs_only_the_certificate(capsys, builtin):
+    # the meet lies in I exactly when each of its generators reduces to zero
+    # against the basis of I the certificate already computed
+    used = []
+    for argv in (["check", "radical"], ["minprimes"]):
+        basis_cache_clear()
+        _, out, _ = run(capsys, "--json", *argv, "--builtin", builtin)
+        used.append(json.loads(out)["budget_used"])
+    assert used[0] == used[1]
+
+
 def test_check_ci_costs_only_the_height(capsys):
     used = []
     for argv in (["check", "ci"], ["height"]):
@@ -399,6 +411,13 @@ def test_check_ci_costs_only_the_height(capsys):
         _, out, _ = run(capsys, "--json", *argv, "--builtin", "fig4")
         used.append(json.loads(out)["budget_used"])
     assert used[0] == used[1] > 0
+
+
+def test_budget_accepts_every_whitespace_strip_removes(capsys):
+    # '\x1f' is whitespace to str.strip() but not to int()
+    for value in ("7\x1f", "\x1c7", " 7\t"):
+        code, out, err = run(capsys, f"--budget={value}", "gen", "--builtin", "l3")
+        assert code == 0 and err == "" and out, repr(value)
 
 
 def test_budget_rejects_negative_and_non_integers(capsys, monkeypatch):

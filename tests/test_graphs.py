@@ -1,6 +1,8 @@
 """Labeled graphs: file format, labeling classes, cliques, rooted labelings."""
 
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from hankelideals import (
     t2_path,
     tree_classes,
 )
-from oracles import rooted_labelings_by_filter
+from hankelideals.graphs import tree_canonical_form
+from hankelideals.hankel import theorem_instances
+from oracles import pruefer_trees, relabelings, rooted_labelings_by_filter
 
 
 # -- construction and the file format ------------------------------------------------
@@ -225,19 +229,68 @@ def test_three_vertex_path_has_two_rooted_labelings():
 # -- tree enumeration ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _pruefer_census(n: int) -> tuple[set[str], dict[str, list[LabeledGraph]]]:
+    """The canonical forms of every labeled tree on n vertices from the
+    Pruefer oracle, and its rooted labelings grouped by canonical form."""
+    keys: set[str] = set()
+    rooted: dict[str, list[LabeledGraph]] = {}
+    for tree in pruefer_trees(n):
+        key = tree_canonical_form(tree)
+        keys.add(key)
+        if is_rooted_labeling(tree) is not None:
+            rooted.setdefault(key, []).append(tree)
+    return keys, rooted
+
+
 def test_tree_class_counts():
-    assert [len(tree_classes(n)) for n in range(3, 8)] == [1, 2, 3, 6, 11]
+    # OEIS A000055
+    assert [len(tree_classes(n)) for n in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+    assert [g.edge_list() for g in tree_classes(1) + tree_classes(2)] == [[], [(1, 2)]]
+
+
+def test_rooted_labelings_number_catalan():
+    for n in range(1, 9):
+        count = sum(len(enumerate_rooted_labelings(shape)) for shape in tree_classes(n))
+        assert count == math.comb(2 * n - 2, n - 1) // n, n
+
+
+def test_rooted_labelings_match_the_pruefer_oracle():
+    for n in range(2, 8):
+        fast = [g.edges for shape in tree_classes(n) for g in enumerate_rooted_labelings(shape)]
+        slow = {tree.edges for trees in _pruefer_census(n)[1].values() for tree in trees}
+        assert len(fast) == len(set(fast)) and set(fast) == slow, n
+
+
+def test_tree_classes_match_the_pruefer_classes():
+    for n in range(2, 8):
+        keys = [tree_canonical_form(shape) for shape in tree_classes(n)]
+        assert keys == sorted(_pruefer_census(n)[0]), n
 
 
 def test_tree_classes_are_pairwise_nonisomorphic():
+    # the isomorphism classes of the shapes are disjoint and cover every
+    # labeled tree the oracle decodes
     for n in (5, 6):
-        shapes = tree_classes(n)
-        degree_seqs = set()
-        for shape in shapes:
-            assert shape.is_tree()
-            degree_seqs.add(tuple(sorted(shape.degree(v) for v in range(1, n + 1))))
-        # not a complete isomorphism check, but catches gross duplication
-        assert len(degree_seqs) >= len(shapes) - 2
+        orbits = [relabelings(shape) for shape in tree_classes(n)]
+        assert sum(map(len, orbits)) == len(set().union(*orbits))
+        assert set().union(*orbits) == {tree.edges for tree in pruefer_trees(n)}
+
+
+def test_tree_sweeps_follow_the_oracle_shapes():
+    # shapes in canonical order, then each shape's rooted labelings by edge list
+    for tag, lo, paths in (("thm3.1", 3, False), ("thm3.2", 2, None)):
+        want = []
+        for n in range(lo, 8):
+            rooted = _pruefer_census(n)[1]
+            for key in sorted(rooted):
+                labelings = sorted(rooted[key], key=LabeledGraph.edge_list)
+                if paths is not None and labelings[0].is_path_shape() != paths:
+                    continue
+                for t in labelings:
+                    edges = ",".join(f"{i}-{j}" for i, j in t.edge_list())
+                    want.append(f"{tag} n={n} tree {edges}")
+        assert [inst.name for inst in theorem_instances(tag, 7)] == want, tag
 
 
 # -- builtins ----------------------------------------------------------------------------------
