@@ -9,7 +9,7 @@ statements about the labels, not the isomorphism class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 Edge = tuple[int, int]
 
@@ -206,8 +206,9 @@ def enumerate_rooted_labelings(tree: LabeledGraph) -> list[LabeledGraph]:
 
     Every vertex is tried as the root (label 1); labeled vertices are then
     processed in label order, each assigning the next consecutive labels to
-    its unlabeled neighbors in every possible order.  Outputs are
-    deduplicated up to equality of labeled edge sets.
+    its unlabeled neighbors.  Swapping isomorphic sibling subtrees is a tree
+    automorphism, so one order per sequence of subtree encodings suffices.
+    Outputs are deduplicated up to equality of labeled edge sets.
     """
     if not tree.is_tree():
         raise ValueError("rooted labeling applies to trees")
@@ -223,12 +224,12 @@ def enumerate_rooted_labelings(tree: LabeledGraph) -> list[LabeledGraph]:
             results.add(relabeled)
             return
         current = sequence[position]
-        fresh = sorted(adjacency[current] - set(sequence))
+        # the next child of current, one per distinct subtree encoding
+        fresh = {_encode(adjacency, w, current): w for w in adjacency[current] - set(sequence)}
         if not fresh:
             grow(sequence, position + 1)
-            return
-        for ordering in permutations(fresh):
-            grow(sequence + list(ordering), position + 1)
+        for w in fresh.values():
+            grow(sequence + [w], position)
 
     for root in range(1, tree.n + 1):
         grow([root], 0)
@@ -252,12 +253,13 @@ def tree_canonical_form(tree: LabeledGraph) -> str:
     if not tree.is_tree():
         raise ValueError("canonical form applies to trees")
     adjacency = _adjacency(tree)
+    return min(_encode(adjacency, c, None) for c in _centers(tree))
 
-    def encode(root: int, parent: int | None) -> str:
-        kids = sorted(encode(w, root) for w in adjacency[root] if w != parent)
-        return "(" + "".join(kids) + ")"
 
-    return min(encode(c, None) for c in _centers(tree))
+def _encode(adjacency: dict[int, set[int]], root: int, parent: int | None) -> str:
+    """The subtree at root, away from parent, with sorted child encodings."""
+    kids = sorted(_encode(adjacency, w, root) for w in adjacency[root] if w != parent)
+    return "(" + "".join(kids) + ")"
 
 
 def _centers(tree: LabeledGraph) -> list[int]:

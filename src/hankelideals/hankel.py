@@ -10,8 +10,9 @@ plus a contiguous block of minors.
 
 `verify_minimal_primes` certifies a candidate list as the exact set of
 minimal primes: each candidate must contain the ideal, the candidates must be
-pairwise incomparable, and their intersection must equal the radical (checked
-in both directions, membership one way and radical membership the other).
+pairwise incomparable (both decided by the rule in `StructuredPrime`, with no
+Groebner work), and their intersection must lie in the radical, which radical
+membership of its generators decides.
 Pure-variable candidates meet combinatorially, as monomial ideals; only
 candidates with a minor block go through t-elimination.  Radical membership
 looks for a power of each meet generator in the ideal first, with the
@@ -120,6 +121,14 @@ class StructuredPrime:
     and must be disjoint from the variable part.  Ideals of this shape are
     prime because the minor block is a rational normal curve ideal in its own
     variables, so primality needs no computation.
+
+    Membership of generators is combinatorial too.  Modulo x_T the prime is
+    the block's curve ideal, a prime holding no monomial whose minors are a
+    Groebner basis (Conca 1998).  So x_v lies in it exactly when v is in T,
+    and the minor of columns i < j exactly when T kills both of its terms
+    (meets {i, j+1} and {j, i+1}) or the block holds columns i and j: one
+    surviving term is a monomial, and two surviving terms with a variable
+    outside the block split into monomial coefficients.
     """
 
     variable_part: frozenset[int]
@@ -142,14 +151,24 @@ class StructuredPrime:
             if not 1 <= v <= context.base_count:
                 raise ValueError(f"variable x{v} outside the context")
             gens.append(Polynomial.variable(context, v))
-        if self.minor_range is not None:
-            a, b = self.minor_range
-            if b + 1 > context.base_count:
-                raise ValueError("minor range outside the context")
-            for i in range(a, b + 1):
-                for j in range(i + 1, b + 1):
-                    gens.append(hankel_generator(context, i, j))
+        if self.minor_range is not None and self.minor_range[1] + 1 > context.base_count:
+            raise ValueError("minor range outside the context")
+        gens += (hankel_generator(context, i, j) for i, j in self.minors())
         return Ideal.of(context, gens)
+
+    def minors(self) -> list[tuple[int, int]]:
+        """The column pairs i < j of the minor block."""
+        a, b = self.minor_range or (1, 0)
+        return [(i, j) for i in range(a, b + 1) for j in range(i + 1, b + 1)]
+
+    def contains_minor(self, i: int, j: int) -> bool:
+        t, (a, b) = self.variable_part, self.minor_range or (1, 0)
+        return bool(t & {i, j + 1} and t & {j, i + 1}) or a <= i < j <= b
+
+    def contains(self, other: "StructuredPrime") -> bool:
+        return other.variable_part <= self.variable_part and all(
+            self.contains_minor(i, j) for i, j in other.minors()
+        )
 
     def describe(self) -> str:
         parts = []
@@ -268,26 +287,15 @@ def verify_minimal_primes(
     if not candidates:
         raise ValueError("need at least one candidate")
     context = hankel.ideal.context
+    # expand raises on candidates outside the context; the meet needs the ideals
     expanded = [c.expand(context) for c in candidates]
-    gens = hankel.ideal.generators
-
     contains = tuple(
-        all(ideal_member(g, prime, REVLEX, budget=budget) for g in gens)
-        for prime in expanded
+        all(c.contains_minor(i, j) for i, j in hankel.graph.edge_list()) for c in candidates
     )
-
-    count = len(expanded)
-    included = [[False] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if i != j:
-                included[i][j] = all(
-                    ideal_member(g, expanded[j], REVLEX, budget=budget)
-                    for g in expanded[i].generators
-                )
+    # by index, so that a duplicated candidate counts as comparable
     incomparable = tuple(
-        all(not included[i][j] and not included[j][i] for j in range(count) if j != i)
-        for i in range(count)
+        all(not (p.contains(q) or q.contains(p)) for k, q in enumerate(candidates) if k != m)
+        for m, p in enumerate(candidates)
     )
 
     # Variable primes meet combinatorially; only minor blocks need
@@ -655,31 +663,21 @@ def _check_prop28(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]
     return ok, "same radical as the labeled path"
 
 
-_BUILDERS = {
-    "thm2.2": _instances_thm22,
-    "cor2.3": _instances_cor23,
-    "prop2.6": _instances_prop26,
-    "cor2.7": _instances_cor27,
-    "thm3.1": _instances_thm31,
-    "thm3.2": _instances_thm32,
-    "prop3.5": _instances_prop35,
-    "prop2.8-radical": _instances_prop28,
-}
-
-_CHECKERS = {
-    "thm2.2": _check_thm22,
-    "cor2.3": _check_cor23,
-    "prop2.6": _check_prop26,
-    "cor2.7": _check_cor27,
-    "thm3.1": _check_thm31,
-    "thm3.2": _check_thm32,
-    "prop3.5": _check_prop35,
-    "prop2.8-radical": _check_prop28,
+# tag -> (instance builder, instance checker)
+_SWEEPS = {
+    "thm2.2": (_instances_thm22, _check_thm22),
+    "cor2.3": (_instances_cor23, _check_cor23),
+    "prop2.6": (_instances_prop26, _check_prop26),
+    "cor2.7": (_instances_cor27, _check_cor27),
+    "thm3.1": (_instances_thm31, _check_thm31),
+    "thm3.2": (_instances_thm32, _check_thm32),
+    "prop3.5": (_instances_prop35, _check_prop35),
+    "prop2.8-radical": (_instances_prop28, _check_prop28),
 }
 
 
 def theorem_instances(tag: str, max_n: int, min_n: int | None = None) -> list[TheoremInstance]:
-    if tag not in _BUILDERS:
+    if tag not in _SWEEPS:
         raise ValueError(f"unknown theorem tag {tag!r}")
     lo, hi = TAG_BOUNDS[tag]
     if max_n > hi:
@@ -689,7 +687,7 @@ def theorem_instances(tag: str, max_n: int, min_n: int | None = None) -> list[Th
         raise ValueError(f"n range starts below {lo} for {tag}")
     out: list[TheoremInstance] = []
     for n in range(start, max_n + 1):
-        out.extend(_BUILDERS[tag](n))
+        out.extend(_SWEEPS[tag][0](n))
     if not out:
         # an empty sweep would report 0/0 as a pass
         raise ValueError(f"no {tag} instances for n from {start} to {max_n}")
@@ -701,7 +699,7 @@ def run_instance(inst: TheoremInstance, budget: int | None = None) -> InstanceRe
     # alone, not of what happened to run earlier in this process
     basis_cache_clear()
     before = pair_meter_total()
-    passed, detail = _CHECKERS[inst.tag](inst, budget)
+    passed, detail = _SWEEPS[inst.tag][1](inst, budget)
     return InstanceResult(inst.name, passed, detail, pair_meter_total() - before)
 
 

@@ -113,6 +113,14 @@ def plain_buchberger(generators, cmp) -> list:
     return [Polynomial.from_dict(context, p) for p in minimal]
 
 
+def member_by_buchberger(generators):
+    """A membership test for the ideal the generators span: p lies in it
+    exactly when its remainder on the `plain_buchberger` revlex basis is
+    zero."""
+    basis = [dict(b.terms) for b in plain_buchberger(list(generators), revlex_cmp)]
+    return lambda p: not _remainder(dict(p.terms), basis, revlex_cmp)
+
+
 def rabinowitsch_member(p: Polynomial, generators) -> bool:
     """Whether p lies in the radical of the ideal the generators span: 1
     lies in (generators) + (1 - t*p) with one fresh variable t, decided by

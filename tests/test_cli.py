@@ -332,14 +332,15 @@ def test_budget_flag_does_not_change_pairs_used(capsys):
     assert used[0] == used[1]
 
 
-# counts reached with power witnesses and the combinatorial meet of variable
-# primes; Rabinowitsch tests and eliminations chained over every candidate
-# took 1843, 2506, 4689 and 3100
+# counts reached with power witnesses, the combinatorial meet of variable
+# primes and containment decided by the structured rule; Rabinowitsch tests
+# and eliminations chained over every candidate took 1843, 2506, 4689 and
+# 3100, and containment by Groebner membership 441, 452, 571 and 1082
 CERTIFICATE_PAIR_BOUNDS = [
-    (("minprimes", "--builtin", "t1-7"), 441),
-    (("minprimes", "--builtin", "t2-7"), 452),
+    (("minprimes", "--builtin", "t1-7"), 351),
+    (("minprimes", "--builtin", "t2-7"), 374),
     (("verify", "--theorem", "prop2.8-radical", "--max-n", "7"), 571),
-    (("verify", "--theorem", "thm2.2", "--max-n", "6"), 1082),
+    (("verify", "--theorem", "thm2.2", "--max-n", "6"), 807),
 ]
 
 

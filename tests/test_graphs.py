@@ -212,13 +212,31 @@ def test_children_blocks_are_consecutive_and_ordered():
 
 
 def test_enumeration_matches_bruteforce_filter():
-    for n in range(2, 7):
-        for shape in tree_classes(n):
-            fast = enumerate_rooted_labelings(shape)
-            slow = rooted_labelings_by_filter(
-                shape, lambda g: is_rooted_labeling(g) is not None
-            )
-            assert sorted(g.edges for g in fast) == sorted(g.edges for g in slow), shape
+    # the shapes, then isomorphic sibling subtrees under labels that are not
+    # breadth first
+    symmetric = [
+        LabeledGraph.of(7, [(4, v) for v in (1, 2, 3, 5, 6, 7)]),
+        LabeledGraph.of(7, [(5, 2), (2, 7), (5, 6), (6, 1), (5, 3), (3, 4)]),
+        LabeledGraph.of(7, [(3, 6), (3, 1), (6, 2), (6, 7), (1, 4), (1, 5)]),
+        LabeledGraph.of(7, [(2, 5), (2, 6), (2, 1), (1, 7), (7, 3), (7, 4)]),
+    ]
+    for shape in [s for n in range(2, 7) for s in tree_classes(n)] + symmetric:
+        fast = enumerate_rooted_labelings(shape)
+        slow = rooted_labelings_by_filter(
+            shape, lambda g: is_rooted_labeling(g) is not None
+        )
+        assert sorted(g.edges for g in fast) == sorted(g.edges for g in slow), shape
+
+
+def test_star_has_two_rooted_labelings():
+    # the center or a leaf takes label 1; the 11 isomorphic leaves are
+    # ordered once, not 11! times
+    star = LabeledGraph.of(12, [(5, v) for v in range(1, 13) if v != 5])
+    labelings = enumerate_rooted_labelings(star)
+    assert [g.edge_list() for g in labelings] == [
+        [(1, v) for v in range(2, 13)],
+        [(1, 2)] + [(2, v) for v in range(3, 13)],
+    ]
 
 
 def test_three_vertex_path_has_two_rooted_labelings():

@@ -57,7 +57,7 @@ from hankelideals.hankel import (
     run_instance,
     theorem_instances,
 )
-from oracles import connected_graph_classes, rank_over_q
+from oracles import connected_graph_classes, member_by_buchberger, rank_over_q
 
 HAMILTONIAN_FIXTURES = [cycle_graph(n) for n in (3, 4, 5, 6)] + [
     complete_graph(n) for n in (3, 4, 5)
@@ -280,6 +280,86 @@ def test_verify_flags_comparable_candidates():
     report = verify_minimal_primes(hank, nested)
     assert not report.verified
     assert report.incomparable == (False, False)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_member(n: int, prime: StructuredPrime):
+    return member_by_buchberger(prime.expand(VariableContext(n + 1)).generators)
+
+
+def test_minor_rule_matches_the_groebner_oracle():
+    # every minor on 6 columns against primes where T kills one term, both
+    # terms or neither, and blocks that hold a minor's columns or only some
+    n = 6
+    context = VariableContext(n + 1)
+    primes = [
+        StructuredPrime(frozenset({1})),
+        StructuredPrime(frozenset({2, 4})),
+        StructuredPrime(frozenset({1, 3, 5, 7})),
+        StructuredPrime(frozenset(), (2, 5)),
+        StructuredPrime(frozenset({1, 7}), (2, 5)),
+        StructuredPrime(frozenset({2, 3}), (4, 6)),
+    ]
+    verdicts = []
+    for prime in primes:
+        member = _oracle_member(n, prime)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            verdicts.append(prime.contains_minor(i, j))
+            assert verdicts[-1] == member(hankel_generator(context, i, j)), (prime, i, j)
+        for v in range(1, n + 2):
+            assert (v in prime.variable_part) == member(Polynomial.variable(context, v))
+    assert verdicts.count(True) and verdicts.count(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_containment_and_incomparability_match_the_groebner_oracle(data):
+    n = data.draw(st.integers(2, 6))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    spanning = [(order[k], order[data.draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    graph = LabeledGraph.of(n, spanning + data.draw(st.lists(st.sampled_from(pairs), max_size=4)))
+
+    def prime() -> StructuredPrime:
+        block = None
+        if data.draw(st.booleans()):
+            a = data.draw(st.integers(1, n - 1))
+            block = (a, data.draw(st.integers(a + 1, n)))
+        variables = data.draw(st.frozensets(st.integers(1, n + 1), min_size=1, max_size=4))
+        return StructuredPrime(variables - set(range(block[0], block[1] + 2)) if block else variables, block)
+
+    cands = [prime() for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        cands.insert(data.draw(st.integers(0, len(cands))), data.draw(st.sampled_from(cands)))
+    hank = hankel_edge_ideal(graph)
+    report = verify_minimal_primes(hank, cands)
+
+    def inside(q: StructuredPrime, p: StructuredPrime) -> bool:
+        member = _oracle_member(n, p)
+        return all(member(g) for g in q.expand(hank.ideal.context).generators)
+
+    member_of = [_oracle_member(n, c) for c in cands]
+    assert report.contains_ideal == tuple(
+        all(member(g) for g in hank.ideal.generators) for member in member_of
+    )
+    assert report.incomparable == tuple(
+        all(not inside(p, q) and not inside(q, p) for k, q in enumerate(cands) if k != m)
+        for m, p in enumerate(cands)
+    )
+
+
+def test_verify_minimal_primes_needs_no_ideal_member(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_minimal_primes asked ideal_member")
+
+    monkeypatch.setattr(hankel_module, "ideal_member", refuse)
+    for graph in (t1_path(7), t2_path(7), figure2_graph()):
+        hank = hankel_edge_ideal(graph)
+        assert verify_minimal_primes(hank, minimal_prime_candidates(graph)).verified, graph
+
+
+def test_every_tag_has_bounds_and_a_sweep():
+    assert set(hankel_module.TAG_BOUNDS) == set(hankel_module._SWEEPS)
 
 
 def test_verify_requires_candidates():
