@@ -42,6 +42,7 @@ from .ideal_ops import (
     height,
     intersect_ideals,
     is_minimal_generating_set,
+    min_cover,
     monomial_dim,
     monomial_is_complete_intersection,
     radical_member,
@@ -84,6 +85,7 @@ from .hankel import (
     UncoveredClassError,
     hankel_edge_ideal,
     hankel_generator,
+    height_bounds,
     minimal_prime_candidates,
     property_report,
     rational_curve_ideal,

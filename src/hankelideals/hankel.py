@@ -17,6 +17,16 @@ Pure-variable candidates meet combinatorially, as monomial ideals; only
 candidates with a minor block go through t-elimination.  Radical membership
 looks for a power of each meet generator in the ideal first, with the
 Rabinowitsch test as the fallback.
+
+`height_bounds` brackets the height of an edge ideal with no Groebner work.
+Under revlex the minor of an edge {i < j} leads with x_j*x_{i+1} and under
+lex with x_i*x_{j+1}.  Those monomials lie in in(I), so the monomial ideal
+they generate has height at most ht in(I) = ht I; a smallest variable set
+meeting their supports has that height, which gives the lower bound.  Every
+prime over I contains a minimal prime of I, so the height of any structured
+prime over I, decided by the rule in `StructuredPrime`, is an upper bound.
+Heights, complete-intersection verdicts and the sweeps use the bracket and
+compute a basis only when it does not settle the question.
 `verify_theorem` packages the classification claims as named, replayable
 instance sweeps.
 """
@@ -41,6 +51,7 @@ from .groebner import (
 from .ideal_ops import (
     height,
     intersect_ideals,
+    min_cover,
     radical_member,
     radicals_equal,
 )
@@ -320,6 +331,68 @@ def verify_minimal_primes(
 
 
 # ---------------------------------------------------------------------------
+# heights
+# ---------------------------------------------------------------------------
+
+
+def _prime_height(prime: StructuredPrime) -> int:
+    a, b = prime.minor_range or (1, 1)
+    return len(prime.variable_part) + b - a
+
+
+def height_bounds(graph: LabeledGraph) -> tuple[int, int, frozenset[int], StructuredPrime]:
+    """(lo, hi, cover, prime) with lo <= ht I_G <= hi, found without Groebner
+    work: cover is a smallest variable set meeting the generators' leading
+    monomials and has size lo, and prime is a structured prime over I_G of
+    height hi.
+
+    lo is the larger of the smallest variable covers of the revlex leading
+    monomials x_j*x_{i+1} and of the lex ones x_i*x_{j+1}.  hi is the least
+    height |T| + (b - a) of a structured prime (x_T) + minors(a..b) (or
+    (x_T) alone) that contains every edge minor: for each block, T is a
+    smallest variable set outside it that meets {i, j+1} and {j, i+1} for
+    every edge the block does not hold.
+    """
+    edges = graph.edge_list()
+    if not edges:
+        raise ValueError("edgeless graph has no Hankel edge ideal")
+    revlex = min_cover({j, i + 1} for i, j in edges)
+    lex = min_cover({i, j + 1} for i, j in edges)
+    cover = max(revlex, lex, key=len)
+    n = graph.n
+    prime = None
+    for block in [None, *((a, b) for a in range(1, n) for b in range(a + 1, n + 1))]:
+        a, b = block or (1, 1)
+        if prime is not None and b - a >= _prime_height(prime):
+            continue
+        curve = block and StructuredPrime(frozenset(), block)
+        outside = set(range(a, b + 2)) if block else set()
+        sets = [
+            s - outside
+            for i, j in edges
+            if not (curve and curve.contains_minor(i, j))
+            for s in ({i, j + 1}, {j, i + 1})
+        ]
+        if not all(sets):
+            continue
+        found = StructuredPrime(min_cover(sets), block)
+        if prime is None or _prime_height(found) < _prime_height(prime):
+            prime = found
+    return len(cover), _prime_height(prime), cover, prime
+
+
+def edge_ideal_height(
+    graph: LabeledGraph, bounds: tuple | None = None, *, budget: int | None = None
+) -> int:
+    """Height of the edge ideal: the bracket's value when it pins it,
+    otherwise the revlex initial ideal's, through a Groebner basis."""
+    lo, hi, _, _ = bounds or height_bounds(graph)
+    if lo == hi:
+        return lo
+    return height(hankel_edge_ideal(graph).ideal, REVLEX, budget=budget)
+
+
+# ---------------------------------------------------------------------------
 # property reports
 # ---------------------------------------------------------------------------
 
@@ -342,14 +415,21 @@ def property_report(graph: LabeledGraph, *, budget: int | None = None) -> Proper
     the minor of an edge {i < j} has leading monomial x_i*x_{j+1}, which gives
     back the edge, so the minors are linearly independent quadrics: none lies
     in the ideal of the others, and by graded Nakayama they generate
-    minimally.  Only the height needs a Groebner basis.
+    minimally.  The height comes from `height_bounds` when the bracket pins
+    it; only otherwise does it need a Groebner basis.
     """
     if not graph.is_connected():
         raise ValueError("property report requires a connected graph")
-    hank = hankel_edge_ideal(graph)
     mu = len(graph.edges)
-    ht = height(hank.ideal, REVLEX, budget=budget)
-    checks = (f"mu={mu} (distinct minors have distinct lex leading monomials)", f"height={ht}")
+    bounds = height_bounds(graph)
+    ht = edge_ideal_height(graph, bounds, budget=budget)
+    lo, hi, cover, prime = bounds
+    cover_text = ", ".join(f"x{v}" for v in sorted(cover))
+    checks = (
+        f"mu={mu} (distinct minors have distinct lex leading monomials)",
+        f"height in [{lo}, {hi}]: cover {{{cover_text}}}, prime {prime.describe()}",
+        f"height={ht}",
+    )
     return PropertyReport(graph, mu, ht, mu == ht, mu == ht + 1, checks)
 
 
@@ -419,7 +499,7 @@ TAG_BOUNDS = {
     "prop2.6": (3, 6),
     "cor2.7": (4, 8),
     "thm3.1": (3, 7),
-    "thm3.2": (2, 7),
+    "thm3.2": (2, 8),
     "prop3.5": (3, 8),
     "prop2.8-radical": (4, 7),
 }
@@ -464,7 +544,7 @@ def _instances_thm22(n: int) -> list[TheoremInstance]:
 def _check_thm22(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (graph,) = inst.payload
     hank = hankel_edge_ideal(graph)
-    ht = height(hank.ideal, budget=budget)
+    ht = edge_ideal_height(graph, budget=budget)
     report = verify_minimal_primes(hank, minimal_prime_candidates(graph), budget=budget)
     ok = report.verified and ht == graph.n - 1
     return ok, f"height={ht} (want {graph.n - 1}), primes verified={report.verified}"
@@ -566,7 +646,7 @@ def _instances_thm31(n: int) -> list[TheoremInstance]:
 
 def _check_thm31(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (tree,) = inst.payload
-    ht = height(hankel_edge_ideal(tree).ideal, budget=budget)
+    ht = edge_ideal_height(tree, budget=budget)
     return ht <= tree.n - 2, f"height={ht} (bound {tree.n - 2})"
 
 
@@ -579,9 +659,12 @@ def _instances_thm32(n: int) -> list[TheoremInstance]:
 
 def _check_thm32(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (tree,) = inst.payload
-    report = property_report(tree, budget=budget)
     expect = tree.is_path_shape() and _root_at_or_next_to_leaf(tree)
-    got = report.is_complete_intersection
+    # ht <= mu by Krull's height theorem, so lo >= mu means CI and hi < mu
+    # means not; only a tree the bracket leaves open needs the exact height
+    mu = len(tree.edges)
+    bounds = lo, hi, _, _ = height_bounds(tree)
+    got = lo >= mu or (hi >= mu and edge_ideal_height(tree, bounds, budget=budget) == mu)
     return got == expect, f"CI={got} (want {expect})"
 
 

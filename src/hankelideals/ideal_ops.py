@@ -5,15 +5,12 @@ order.  Radical membership first looks for a power witness, reducing p, p^2,
 ... against the memoized Groebner basis of I.  Only when none of the first
 few powers lies in I, or their remainders grow large, does it fall back to
 the classical one-extra-variable trick (p lies in the radical of I exactly
-when 1 lies in I + (1 - t*p)).  Dimensions of
-monomial ideals are computed by the definitional independent-variable-subset
-search, which is exact and fast at the scales this package targets (at most
-about twenty variables).
+when 1 lies in I + (1 - t*p)).  The dimension of a monomial quotient is
+the variable count minus the size of a smallest variable set meeting every
+generator's support, which `min_cover` finds by a branching search.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .ring import (
     ContextMismatchError,
@@ -106,23 +103,44 @@ def radicals_equal(a: Ideal, b: Ideal, *, budget: int | None = None) -> bool:
     )
 
 
+def min_cover(sets) -> frozenset:
+    """A smallest set meeting every one of the given nonempty sets.
+
+    Branching search: take an unmet set of fewest elements, try each of its
+    elements in ascending order, and abandon a branch once it cannot beat
+    the smallest cover found so far (at first the union of all the sets).
+    The result is deterministic: among smallest covers, the first found.
+    """
+    sets = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
+    if sets and not sets[0]:
+        raise ValueError("no set meets the empty set")
+    best = frozenset().union(*sets)
+
+    def search(chosen: frozenset) -> None:
+        nonlocal best
+        unmet = next((s for s in sets if not s & chosen), None)
+        if unmet is None:
+            best = chosen
+            return
+        for v in sorted(unmet):
+            if len(chosen) + 1 < len(best):
+                search(chosen | {v})
+
+    search(frozenset())
+    return best
+
+
 def monomial_dim(ideal: MonomialIdeal) -> int:
     """Krull dimension of the quotient by a proper monomial ideal.
 
-    This is the largest size of a variable subset U such that no minimal
-    generator is supported inside U; subsets are searched exhaustively from
-    the top size down.
+    A variable subset U is independent when no minimal generator is
+    supported inside U, that is when the other variables meet every
+    generator's support; the dimension is the largest such |U|.
     """
     if not ideal.is_proper:
         raise ValueError("unit ideal")
-    count = ideal.context.total_count
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in ideal.generators]
-    for size in range(count, -1, -1):
-        for subset in combinations(range(count), size):
-            chosen = frozenset(subset)
-            if not any(s <= chosen for s in supports):
-                return size
-    return 0
+    return ideal.context.total_count - len(min_cover(supports))
 
 
 def height(ideal: Ideal, order: MonomialOrder = REVLEX, *, budget: int | None = None) -> int:
@@ -172,6 +190,7 @@ __all__ = [
     "intersect_ideals",
     "radical_member",
     "radicals_equal",
+    "min_cover",
     "monomial_dim",
     "height",
     "is_minimal_generating_set",

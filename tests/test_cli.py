@@ -23,6 +23,8 @@ from hankelideals import (
     parse_polynomial,
     path_graph,
 )
+from hankelideals import hankel as hankel_module
+from hankelideals import ideal_ops
 from hankelideals.cli import main
 from hankelideals.groebner import basis_cache_clear
 from hankelideals.ring import VariableContext
@@ -335,7 +337,9 @@ def test_budget_flag_does_not_change_pairs_used(capsys):
 # counts reached with power witnesses, the combinatorial meet of variable
 # primes and containment decided by the structured rule; Rabinowitsch tests
 # and eliminations chained over every candidate took 1843, 2506, 4689 and
-# 3100, and containment by Groebner membership 441, 452, 571 and 1082
+# 3100, and containment by Groebner membership 441, 452, 571 and 1082.
+# thm2.2 keeps its count though the height bracket replaced its height
+# computations: the radical test needs the same revlex basis of I.
 CERTIFICATE_PAIR_BOUNDS = [
     (("minprimes", "--builtin", "t1-7"), 351),
     (("minprimes", "--builtin", "t2-7"), 374),
@@ -403,6 +407,42 @@ def test_check_radical_costs_only_the_certificate(capsys, builtin):
         _, out, _ = run(capsys, "--json", *argv, "--builtin", builtin)
         used.append(json.loads(out)["budget_used"])
     assert used[0] == used[1]
+
+
+# the height bracket decides these sweeps; a revlex basis for every
+# instance took 5789, 32904, 435 and 1486 pairs
+SWEEP_PAIR_BOUNDS = [
+    (("thm3.2", "7"), 43),
+    (("thm3.2", "8"), 50),
+    (("prop2.6", "6"), 0),
+    (("cor2.7", "8"), 0),
+]
+
+
+@pytest.mark.parametrize("sweep, bound", SWEEP_PAIR_BOUNDS, ids=["thm3.2-7", "thm3.2-8", "prop2.6", "cor2.7"])
+def test_sweep_pair_counts_stay_within_the_bracket_bounds(capsys, sweep, bound):
+    tag, max_n = sweep
+    code, out, _ = run(capsys, "--json", "verify", "--theorem", tag, "--max-n", max_n)
+    assert code == 0
+    assert json.loads(out)["budget_used"] <= bound
+
+
+def test_almost_complete_intersection_sweep_computes_no_height(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prop2.6 asked for a Groebner height")
+
+    monkeypatch.setattr(hankel_module, "height", refuse)
+    monkeypatch.setattr(ideal_ops, "height", refuse)
+    code, out, _ = run(capsys, "verify", "--theorem", "prop2.6", "--max-n", "6")
+    assert code == 0
+    assert out.endswith("instances passed\n")
+
+
+def test_check_ci_reports_the_height_bracket(capsys):
+    _, out, _ = run(capsys, "--json", "check", "ci", "--builtin", "fig4")
+    checks = json.loads(out)["evidence"]["checks"]
+    assert "height in [5, 6]: cover {x1, x2, x4, x5, x8}, prime (x1, x2, x3, x5, x8, x9)" in checks
+    assert checks[-1] == "height=6"
 
 
 def test_check_ci_costs_only_the_height(capsys):

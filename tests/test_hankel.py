@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelideals import (
+    LEX,
     Ideal,
     LabeledGraph,
     Polynomial,
@@ -30,6 +31,7 @@ from hankelideals import (
     hankel_edge_ideal,
     hankel_generator,
     height,
+    height_bounds,
     ideal_member,
     ideals_equal,
     initial_ideal,
@@ -57,7 +59,12 @@ from hankelideals.hankel import (
     run_instance,
     theorem_instances,
 )
-from oracles import connected_graph_classes, member_by_buchberger, rank_over_q
+from oracles import (
+    connected_graph_classes,
+    member_by_buchberger,
+    monomial_dim_by_subsets,
+    rank_over_q,
+)
 
 HAMILTONIAN_FIXTURES = [cycle_graph(n) for n in (3, 4, 5, 6)] + [
     complete_graph(n) for n in (3, 4, 5)
@@ -437,6 +444,89 @@ def test_hamiltonian_and_semi_heights():
         assert height(hankel_edge_ideal(graph).ideal) == graph.n - 1, graph
 
 
+# -- height brackets ----------------------------------------------------------------------------
+
+
+def _prime_height(prime: StructuredPrime) -> int:
+    # the minors of columns a..b cut out a rational normal curve of height b - a
+    a, b = prime.minor_range or (0, 0)
+    return len(prime.variable_part) + b - a
+
+
+def _structured_primes(n: int):
+    """Every (x_T) + minors(a..b) and every (x_T) on n columns."""
+    variables = range(1, n + 2)
+    for block in [None] + [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]:
+        free = [v for v in variables if not block or not block[0] <= v <= block[1] + 1]
+        for size in range(len(free) + 1):
+            for t in itertools.combinations(free, size):
+                if t or block:
+                    yield StructuredPrime(frozenset(t), block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_height_bounds_bracket_the_height_with_checkable_witnesses(data):
+    n = data.draw(st.integers(2, 6))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    spanning = [(order[k], order[data.draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    graph = LabeledGraph.of(n, spanning + data.draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    ideal = hankel_edge_ideal(graph).ideal
+    lo, hi, cover, prime = height_bounds(graph)
+    assert lo <= height(ideal) <= hi
+
+    # lo: the cover meets every leading monomial under one of the orders, and
+    # no smaller set does under either
+    width = n + 1
+    supports = {
+        o: [{v + 1 for v, e in enumerate(g.leading_monomial(o)) if e} for g in ideal.generators]
+        for o in (REVLEX, LEX)
+    }
+    assert len(cover) == lo
+    assert any(all(cover & s for s in sets) for sets in supports.values())
+    assert lo == max(
+        width - monomial_dim_by_subsets(width, [{v - 1 for v in s} for s in sets])
+        for sets in supports.values()
+    )
+
+    # hi: the prime contains I by the Groebner oracle, and no structured
+    # prime over I is lower
+    member = _oracle_member(n, prime)
+    assert all(member(g) for g in ideal.generators)
+    assert _prime_height(prime) == hi
+    assert hi == min(
+        _prime_height(p)
+        for p in _structured_primes(n)
+        if all(p.contains_minor(i, j) for i, j in graph.edge_list())
+    )
+
+
+def test_height_bounds_on_the_figures():
+    assert height_bounds(figure4_tree())[:2] == (5, 6)
+    assert height(hankel_edge_ideal(figure4_tree()).ideal) == 6
+    for graph in HAMILTONIAN_FIXTURES + SEMI_FIXTURES:
+        lo, hi, _, _ = height_bounds(graph)
+        assert lo == hi == graph.n - 1, graph
+    with pytest.raises(ValueError, match="edgeless"):
+        height_bounds(LabeledGraph.of(1, []))
+
+
+def test_tree_verdicts_skip_the_height_when_the_bracket_settles_them(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket decides this tree")
+
+    monkeypatch.setattr(hankel_module, "height", refuse)
+    decided = 0
+    for inst in theorem_instances("thm3.2", 6):
+        (tree,) = inst.payload
+        lo, hi, _, _ = height_bounds(tree)
+        if lo >= len(tree.edges) or hi < len(tree.edges):
+            assert run_instance(inst).passed, inst.name
+            decided += 1
+    assert decided > 0
+
+
 # -- the sampled classification invariants ------------------------------------------------------
 
 
@@ -503,6 +593,8 @@ def test_theorem_tag_bounds():
         verify_theorem("thm9.9", 4)
     with pytest.raises(ValueError, match="too large"):
         verify_theorem("thm2.2", 7)
+    with pytest.raises(ValueError, match="too large"):
+        theorem_instances("thm3.2", 9)
     with pytest.raises(ValueError, match="below"):
         theorem_instances("cor2.7", 5, min_n=2)
     # an empty range would replay as a 0/0 pass

@@ -204,6 +204,16 @@ def test_monomial_dim_examples():
     assert monomial_dim(squares) == 0
 
 
+def test_min_cover_examples():
+    assert ideal_ops.min_cover([]) == frozenset()
+    five_cycle = [{k, k % 5 + 1} for k in range(1, 6)]
+    cover = ideal_ops.min_cover(five_cycle)
+    assert len(cover) == 3 and all(cover & s for s in five_cycle)
+    assert ideal_ops.min_cover([{1, 2, 3}, {3}, {2, 4}]) in ({3, 2}, {3, 4})
+    with pytest.raises(ValueError):
+        ideal_ops.min_cover([{1}, set()])
+
+
 def test_monomial_dim_unit_ideal_rejected():
     ctx = VariableContext(3)
     unit = MonomialIdeal.from_monomials(ctx, [(0, 0, 0)])
