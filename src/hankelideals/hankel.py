@@ -24,9 +24,11 @@ lex with x_i*x_{j+1}.  Those monomials lie in in(I), so the monomial ideal
 they generate has height at most ht in(I) = ht I; a smallest variable set
 meeting their supports has that height, which gives the lower bound.  Every
 prime over I contains a minimal prime of I, so the height of any structured
-prime over I, decided by the rule in `StructuredPrime`, is an upper bound.
+prime over I, decided by the rule in `StructuredPrime`, is an upper bound,
+and so is mu = |E| by Krull's height theorem.
 Heights, complete-intersection verdicts and the sweeps use the bracket and
-compute a basis only when it does not settle the question.
+run Buchberger only when it does not settle the question, stopping the run
+once the leading monomials it has found prove the upper bound.
 `verify_theorem` packages the classification claims as named, replayable
 instance sweeps.
 """
@@ -384,12 +386,20 @@ def height_bounds(graph: LabeledGraph) -> tuple[int, int, frozenset[int], Struct
 def edge_ideal_height(
     graph: LabeledGraph, bounds: tuple | None = None, *, budget: int | None = None
 ) -> int:
-    """Height of the edge ideal: the bracket's value when it pins it,
-    otherwise the revlex initial ideal's, through a Groebner basis."""
+    """Height of the edge ideal, proven between lo and min(hi, mu).
+
+    hi is the height of a structured prime over I, and by Krull's height
+    theorem ht I <= mu = |E|, the number of generators.  When lo reaches
+    that upper bound it is the height.  Otherwise the revlex Buchberger run
+    decides it, stopping as soon as a smallest variable cover of the
+    leading monomials it has found, a lower bound on ht I, reaches the
+    upper bound (see `ideal_ops.height`).
+    """
     lo, hi, _, _ = bounds or height_bounds(graph)
-    if lo == hi:
-        return lo
-    return height(hankel_edge_ideal(graph).ideal, REVLEX, budget=budget)
+    at_most = min(hi, len(graph.edges))
+    if lo >= at_most:
+        return at_most
+    return height(hankel_edge_ideal(graph).ideal, REVLEX, budget=budget, at_most=at_most)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +425,9 @@ def property_report(graph: LabeledGraph, *, budget: int | None = None) -> Proper
     the minor of an edge {i < j} has leading monomial x_i*x_{j+1}, which gives
     back the edge, so the minors are linearly independent quadrics: none lies
     in the ideal of the others, and by graded Nakayama they generate
-    minimally.  The height comes from `height_bounds` when the bracket pins
-    it; only otherwise does it need a Groebner basis.
+    minimally.  The height comes from `edge_ideal_height`: from the bracket
+    when it pins it, otherwise from a Buchberger run that stops once it
+    proves the upper bound.
     """
     if not graph.is_connected():
         raise ValueError("property report requires a connected graph")
@@ -498,7 +509,7 @@ TAG_BOUNDS = {
     "cor2.3": (3, 6),
     "prop2.6": (3, 6),
     "cor2.7": (4, 8),
-    "thm3.1": (3, 7),
+    "thm3.1": (3, 8),
     "thm3.2": (2, 8),
     "prop3.5": (3, 8),
     "prop2.8-radical": (4, 7),

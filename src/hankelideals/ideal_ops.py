@@ -24,6 +24,7 @@ from .ring import (
 from .groebner import (
     Ideal,
     MonomialIdeal,
+    StoppedRun,
     buchberger,
     ideal_member,
     initial_ideal,
@@ -143,14 +144,41 @@ def monomial_dim(ideal: MonomialIdeal) -> int:
     return ideal.context.total_count - len(min_cover(supports))
 
 
-def height(ideal: Ideal, order: MonomialOrder = REVLEX, *, budget: int | None = None) -> int:
+def height(
+    ideal: Ideal,
+    order: MonomialOrder = REVLEX,
+    *,
+    budget: int | None = None,
+    at_most: int | None = None,
+) -> int:
     """Height (codimension) of a proper ideal via its initial ideal.
 
     Passing to leading monomials preserves the quotient dimension for any
     global order, so the height is the variable count minus the dimension of
     the initial ideal's quotient.
+
+    `at_most` must be a proven upper bound on the height of the (proper)
+    ideal.  Every element Buchberger's run has found lies in I, so a
+    smallest variable set meeting the supports of their leading monomials
+    is the height of a monomial ideal inside in(I), at most ht in(I) = ht I.
+    Once that cover reaches `at_most` the height is `at_most`, and the run
+    stops there; it is never cached.  The cover only grows as monomials
+    join, and is searched again only when one misses it.
     """
-    gb = buchberger(ideal, order, budget=budget)
+    supports: list[frozenset] = []
+    cover = frozenset()
+
+    def proven(leads) -> bool:
+        nonlocal cover
+        fresh = [frozenset(i for i, e in enumerate(m) if e) for m in leads[len(supports) :]]
+        supports.extend(fresh)
+        if any(not s & cover for s in fresh):
+            cover = min_cover(supports)
+        return len(cover) >= at_most
+
+    gb = buchberger(ideal, order, budget=budget, until=None if at_most is None else proven)
+    if isinstance(gb, StoppedRun):
+        return at_most
     if gb.elements == (Polynomial.one(ideal.context),):
         raise ValueError("unit ideal")
     ini = MonomialIdeal.from_monomials(

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from hankelideals import Polynomial, VariableContext
+from hankelideals import LabeledGraph, Polynomial, VariableContext
 
 
 @pytest.fixture
@@ -42,3 +43,14 @@ def polynomials(context: VariableContext, max_terms: int = 4, max_entry: int = 3
 
 def seeded_rng(label: str) -> random.Random:
     return random.Random(label)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected labeled graphs on 2..6 vertices: a random spanning tree
+    plus up to four more edges."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    spanning = [(order[k], order[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return LabeledGraph.of(n, spanning + draw(st.lists(st.sampled_from(pairs), max_size=4)))

@@ -157,6 +157,14 @@ def monomial_dim_by_subsets(width: int, supports) -> int:
     return best
 
 
+def height_by_buchberger(generators) -> int:
+    """Height of the ideal the generators span: the variable count minus the
+    dimension of the quotient by the `plain_buchberger` revlex initial ideal."""
+    width = generators[0].context.total_count
+    leads = [_leading(dict(g.terms), revlex_cmp)[0] for g in plain_buchberger(list(generators), revlex_cmp)]
+    return width - monomial_dim_by_subsets(width, [[v for v, e in enumerate(m) if e] for m in leads])
+
+
 def rooted_labelings_by_filter(tree: LabeledGraph, predicate) -> list[LabeledGraph]:
     """All n! relabelings of the tree that satisfy the predicate, deduped."""
     n = tree.n

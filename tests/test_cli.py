@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,11 +24,12 @@ from hankelideals import (
     parse_polynomial,
     path_graph,
 )
+from hankelideals import groebner
 from hankelideals import hankel as hankel_module
 from hankelideals import ideal_ops
 from hankelideals.cli import main
 from hankelideals.groebner import basis_cache_clear
-from hankelideals.ring import VariableContext
+from hankelideals.ring import REVLEX, VariableContext
 
 
 def run(capsys, *argv):
@@ -137,10 +139,13 @@ def test_gen_json_envelope(capsys):
 
 
 def test_json_output_is_byte_stable():
-    # fresh processes, so in-process basis caching cannot skew the budget count
+    # fresh processes, so in-process basis caching cannot skew the budget count;
+    # pytest's own `pythonpath` setting does not reach them
     cmd = [sys.executable, "-m", "hankelideals.cli", "--json", "minprimes", "--builtin", "t1-4"]
-    first = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+    second = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
     assert first == second
     payload = json.loads(first)
     assert payload["result"]["ok"] is True
@@ -412,14 +417,17 @@ def test_check_radical_costs_only_the_certificate(capsys, builtin):
 # the height bracket decides these sweeps; a revlex basis for every
 # instance took 5789, 32904, 435 and 1486 pairs
 SWEEP_PAIR_BOUNDS = [
-    (("thm3.2", "7"), 43),
-    (("thm3.2", "8"), 50),
+    (("thm3.2", "7"), 26),
+    (("thm3.2", "8"), 29),
+    (("thm3.1", "7"), 1131),
     (("prop2.6", "6"), 0),
     (("cor2.7", "8"), 0),
 ]
 
 
-@pytest.mark.parametrize("sweep, bound", SWEEP_PAIR_BOUNDS, ids=["thm3.2-7", "thm3.2-8", "prop2.6", "cor2.7"])
+@pytest.mark.parametrize(
+    "sweep, bound", SWEEP_PAIR_BOUNDS, ids=["thm3.2-7", "thm3.2-8", "thm3.1-7", "prop2.6", "cor2.7"]
+)
 def test_sweep_pair_counts_stay_within_the_bracket_bounds(capsys, sweep, bound):
     tag, max_n = sweep
     code, out, _ = run(capsys, "--json", "verify", "--theorem", tag, "--max-n", max_n)
@@ -446,12 +454,42 @@ def test_check_ci_reports_the_height_bracket(capsys):
 
 
 def test_check_ci_costs_only_the_height(capsys):
-    used = []
-    for argv in (["check", "ci"], ["height"]):
+    # the bracket gives 5 <= ht <= 6; the revlex run stops once the cover of
+    # its leading monomials reaches 6, while `height` needs the whole basis
+    used = {}
+    for argv in (["check", "ci"], ["check", "aci"], ["height"]):
         basis_cache_clear()
         _, out, _ = run(capsys, "--json", *argv, "--builtin", "fig4")
-        used.append(json.loads(out)["budget_used"])
-    assert used[0] == used[1] > 0
+        payload = json.loads(out)
+        assert payload["result"]["height"] == 6
+        used[argv[-1]] = payload["budget_used"]
+    assert 0 < used["ci"] <= 13 and 0 < used["aci"] <= 13
+    assert used["height"] == 370
+
+
+def _pinned_basis(label):
+    refs = json.loads((Path(__file__).resolve().parent.parent / "bench" / "references.json").read_text())
+    return next(ref["basis"] for ref in refs["bases"] if ref["label"] == label and ref["order"] == "revlex")
+
+
+def test_a_stopped_height_run_leaves_no_basis_behind(capsys):
+    basis_cache_clear()
+    assert run(capsys, "check", "ci", "--builtin", "fig4")[0] == 1
+    ideal = hankel_edge_ideal(builtin_graph("fig4")).ideal
+    assert (ideal.context, ideal.generators, REVLEX) not in groebner._GB_CACHE
+    code, out, _ = run(capsys, "--json", "gb", "--builtin", "fig4")
+    payload = json.loads(out)
+    assert code == 0 and payload["budget_used"] == 370
+    assert payload["result"]["elements"] == _pinned_basis("fig4")
+
+
+def test_budget_counts_only_the_pairs_the_stopped_run_reduced(capsys):
+    basis_cache_clear()
+    code, out, _ = run(capsys, "--budget", "13", "check", "ci", "--builtin", "fig4")
+    assert code == 1 and out == "CI: false (mu=9, height=6)\n"
+    basis_cache_clear()
+    code, _, err = run(capsys, "--budget", "12", "check", "ci", "--builtin", "fig4")
+    assert code == 3 and "budget exhausted after 12" in err
 
 
 def test_budget_accepts_every_whitespace_strip_removes(capsys):

@@ -59,6 +59,7 @@ from hankelideals.hankel import (
     run_instance,
     theorem_instances,
 )
+from conftest import connected_graphs
 from oracles import (
     connected_graph_classes,
     member_by_buchberger,
@@ -321,11 +322,8 @@ def test_minor_rule_matches_the_groebner_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_containment_and_incomparability_match_the_groebner_oracle(data):
-    n = data.draw(st.integers(2, 6))
-    order = data.draw(st.permutations(range(1, n + 1)))
-    spanning = [(order[k], order[data.draw(st.integers(0, k - 1))]) for k in range(1, n)]
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    graph = LabeledGraph.of(n, spanning + data.draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    graph = data.draw(connected_graphs())
+    n = graph.n
 
     def prime() -> StructuredPrime:
         block = None
@@ -467,11 +465,8 @@ def _structured_primes(n: int):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_height_bounds_bracket_the_height_with_checkable_witnesses(data):
-    n = data.draw(st.integers(2, 6))
-    order = data.draw(st.permutations(range(1, n + 1)))
-    spanning = [(order[k], order[data.draw(st.integers(0, k - 1))]) for k in range(1, n)]
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    graph = LabeledGraph.of(n, spanning + data.draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    graph = data.draw(connected_graphs())
+    n = graph.n
     ideal = hankel_edge_ideal(graph).ideal
     lo, hi, cover, prime = height_bounds(graph)
     assert lo <= height(ideal) <= hi
@@ -595,6 +590,8 @@ def test_theorem_tag_bounds():
         verify_theorem("thm2.2", 7)
     with pytest.raises(ValueError, match="too large"):
         theorem_instances("thm3.2", 9)
+    with pytest.raises(ValueError, match="too large"):
+        theorem_instances("thm3.1", 9)
     with pytest.raises(ValueError, match="below"):
         theorem_instances("cor2.7", 5, min_n=2)
     # an empty range would replay as a 0/0 pass

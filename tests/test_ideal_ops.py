@@ -20,6 +20,7 @@ from hankelideals import (
     cycle_graph,
     figure1_graph,
     figure2_graph,
+    figure4_tree,
     hankel_edge_ideal,
     hankel_generator,
     height,
@@ -38,7 +39,9 @@ from hankelideals import (
     t2_path,
 )
 from hankelideals import ideal_ops
-from oracles import monomial_dim_by_subsets, rabinowitsch_member
+from hankelideals.groebner import basis_cache_clear, pair_meter_total
+from conftest import connected_graphs
+from oracles import height_by_buchberger, monomial_dim_by_subsets, rabinowitsch_member
 
 CONNECTED_FIXTURES = [
     path_graph(2),
@@ -247,8 +250,32 @@ def test_height_of_variable_ideals():
 
 def test_height_unit_ideal_rejected():
     ctx = VariableContext(3)
-    with pytest.raises(ValueError):
-        height(Ideal(ctx, (Polynomial.one(ctx),)))
+    for at_most in (None, 1):
+        with pytest.raises(ValueError):
+            height(Ideal(ctx, (Polynomial.one(ctx),)), at_most=at_most)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_height_with_any_proven_upper_bound_matches_the_oracle(data):
+    graph = data.draw(connected_graphs())
+    ideal = ideal_of(graph)
+    true = height_by_buchberger(ideal.generators)
+    for bound in range(true, true + 3):
+        basis_cache_clear()
+        assert height(ideal, at_most=bound) == true, (graph, bound)
+
+
+def test_a_memoized_basis_gives_the_bounded_height_for_no_pairs():
+    # fig4 has height 6; a fresh run proves it after 13 of its 370 pairs
+    basis_cache_clear()
+    ideal = ideal_of(figure4_tree())
+    costs = []
+    for compute in (lambda: height(ideal, at_most=6), lambda: height(ideal), lambda: height(ideal, at_most=6)):
+        before = pair_meter_total()
+        assert compute() == 6
+        costs.append(pair_meter_total() - before)
+    assert costs == [13, 370, 0]
 
 
 def test_height_is_order_independent_on_fixtures():
