@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .ring import PolynomialParseError, REVLEX, LEX, format_polynomial
 from .groebner import (
@@ -157,14 +156,16 @@ def _parse_candidates_file(path: str) -> list[StructuredPrime]:
     return out
 
 
-@dataclass
 class _Outcome:
-    code: int
-    lines: list
-    result: object
-    evidence: dict
-    graph: object = None
-    pairs: int | None = None  # None: read the process meter
+    """What a subcommand hands back for the report envelope."""
+
+    def __init__(self, code: int, lines: list, result, evidence: dict, graph=None, pairs: int | None = None):
+        self.code = code
+        self.lines = lines
+        self.result = result
+        self.evidence = evidence
+        self.graph = graph
+        self.pairs = pairs  # None: read the process meter
 
 
 def _cmd_gen(args, budget):

@@ -8,8 +8,9 @@ statements about the labels, not the isomorphism class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from .ring import Record, set_field
 
 Edge = tuple[int, int]
 
@@ -23,20 +24,20 @@ class GraphFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """A finite simple graph on the vertex set {1, ..., n}."""
 
-    n: int
-    edges: frozenset[Edge]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset[Edge]):
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        for e in self.edges:
+        for e in edges:
             i, j = e
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge {e}: need 1 <= i < j <= {self.n}")
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad edge {e}: need 1 <= i < j <= {n}")
+        set_field(self, "n", n)
+        set_field(self, "edges", edges)
 
     @classmethod
     def of(cls, n: int, edges) -> "LabeledGraph":
@@ -96,14 +97,22 @@ def _adjacency(graph: LabeledGraph) -> dict[int, set[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelClass:
-    connected: bool
-    tree: bool
-    path: bool
-    labeled_hamiltonian: bool
-    labeled_semi_hamiltonian: bool
-    closed_labeling: bool
+class LabelClass(Record):
+    _fields = (
+        "connected", "tree", "path",
+        "labeled_hamiltonian", "labeled_semi_hamiltonian", "closed_labeling",
+    )
+
+    def __init__(
+        self, connected: bool, tree: bool, path: bool,
+        labeled_hamiltonian: bool, labeled_semi_hamiltonian: bool, closed_labeling: bool,
+    ):
+        set_field(self, "connected", connected)
+        set_field(self, "tree", tree)
+        set_field(self, "path", path)
+        set_field(self, "labeled_hamiltonian", labeled_hamiltonian)
+        set_field(self, "labeled_semi_hamiltonian", labeled_semi_hamiltonian)
+        set_field(self, "closed_labeling", closed_labeling)
 
 
 def has_spine(graph: LabeledGraph) -> bool:
@@ -163,8 +172,7 @@ def is_closed_labeling(graph: LabeledGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootedLabelingCertificate:
+class RootedLabelingCertificate(Record):
     """Witness that a labeled tree is rooted at vertex 1.
 
     ``parents[k]`` is the unique smaller-labeled neighbor of vertex k + 2.
@@ -174,7 +182,10 @@ class RootedLabelingCertificate:
     labels and that children of i all precede children of j when i < j.
     """
 
-    parents: tuple[int, ...]
+    _fields = ("parents",)
+
+    def __init__(self, parents: tuple[int, ...]):
+        set_field(self, "parents", parents)
 
     def parent_of(self, v: int) -> int:
         if v < 2 or v > len(self.parents) + 1:

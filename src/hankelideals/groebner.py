@@ -17,7 +17,6 @@ oracle for the computed bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 import heapq
 from typing import Callable
@@ -28,6 +27,7 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     REVLEX,
+    Record,
     VariableContext,
     format_monomial,
     mono_deg,
@@ -35,6 +35,7 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    set_field,
     unit_mono,
 )
 
@@ -76,33 +77,39 @@ def pair_meter_total() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """A finitely generated ideal, given by nonzero generators in one context."""
 
-    context: VariableContext
-    generators: tuple[Polynomial, ...]
+    _fields = ("context", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, context: VariableContext, generators: tuple[Polynomial, ...]):
+        if not generators:
             raise ValueError("an ideal needs at least one generator")
-        for g in self.generators:
-            if g.context != self.context:
+        for g in generators:
+            if g.context != context:
                 raise ContextMismatchError("incompatible contexts")
             if g.is_zero:
                 raise ValueError("zero generators are not allowed")
+        set_field(self, "context", context)
+        set_field(self, "generators", generators)
 
     @classmethod
     def of(cls, context: VariableContext, generators) -> "Ideal":
         return cls(context, tuple(generators))
 
 
-@dataclass(frozen=True)
-class ReducedGroebnerBasis:
-    source: Ideal
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
-    pairs_processed: int = field(compare=False, default=0)
+class ReducedGroebnerBasis(Record):
+    _fields = ("source", "order", "elements", "pairs_processed")
+    _uncompared = ("pairs_processed",)
+
+    def __init__(
+        self, source: Ideal, order: MonomialOrder, elements: tuple[Polynomial, ...],
+        pairs_processed: int = 0,
+    ):
+        set_field(self, "source", source)
+        set_field(self, "order", order)
+        set_field(self, "elements", elements)
+        set_field(self, "pairs_processed", pairs_processed)
 
     def __iter__(self):
         return iter(self.elements)
@@ -111,11 +118,13 @@ class ReducedGroebnerBasis:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class StoppedRun:
+class StoppedRun(Record):
     """A Buchberger run its stopping predicate ended; it keeps no basis."""
 
-    pairs_processed: int
+    _fields = ("pairs_processed",)
+
+    def __init__(self, pairs_processed: int):
+        set_field(self, "pairs_processed", pairs_processed)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +357,20 @@ def ideals_equal(a: Ideal, b: Ideal, order: MonomialOrder = REVLEX, *, budget: i
     return ga.elements == gb.elements
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal held by its minimal generating monomials, sorted."""
 
-    context: VariableContext
-    generators: tuple[Mono, ...]
+    _fields = ("context", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, context: VariableContext, generators: tuple[Mono, ...]):
+        if not generators:
             raise ValueError("a monomial ideal needs at least one generator")
-        width = self.context.total_count
-        for m in self.generators:
+        width = context.total_count
+        for m in generators:
             if len(m) != width:
                 raise ContextMismatchError("incompatible contexts")
+        set_field(self, "context", context)
+        set_field(self, "generators", generators)
 
     @classmethod
     def from_monomials(cls, context: VariableContext, monos) -> "MonomialIdeal":

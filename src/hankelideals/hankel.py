@@ -37,10 +37,8 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
-from .ring import Polynomial, REVLEX, VariableContext, mono_lcm, unit_mono
+from .ring import Polynomial, REVLEX, Record, VariableContext, mono_lcm, set_field, unit_mono
 from .groebner import (
     Ideal,
     MonomialIdeal,
@@ -93,12 +91,14 @@ def hankel_generator(context: VariableContext, i: int, j: int) -> Polynomial:
     return x(i) * x(j + 1) - x(j) * x(i + 1)
 
 
-@dataclass(frozen=True)
-class HankelIdeal:
+class HankelIdeal(Record):
     """The edge ideal of a labeled graph, with generators indexed by edge."""
 
-    graph: LabeledGraph
-    ideal: Ideal
+    _fields = ("graph", "ideal")
+
+    def __init__(self, graph: LabeledGraph, ideal: Ideal):
+        set_field(self, "graph", graph)
+        set_field(self, "ideal", ideal)
 
     def generator_for(self, i: int, j: int) -> Polynomial:
         if not self.graph.has_edge(i, j):
@@ -125,8 +125,7 @@ def rational_curve_ideal(n: int) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuredPrime:
+class StructuredPrime(Record):
     """A prime given by variables plus an optional contiguous minor block.
 
     ``variable_part`` lists 1-based variable indices; ``minor_range`` (a, b)
@@ -144,19 +143,20 @@ class StructuredPrime:
     outside the block split into monomial coefficients.
     """
 
-    variable_part: frozenset[int]
-    minor_range: tuple[int, int] | None = None
+    _fields = ("variable_part", "minor_range")
 
-    def __post_init__(self):
-        if self.minor_range is not None:
-            a, b = self.minor_range
+    def __init__(self, variable_part: frozenset[int], minor_range: tuple[int, int] | None = None):
+        if minor_range is not None:
+            a, b = minor_range
             if not 1 <= a < b:
                 raise ValueError(f"bad minor range ({a}, {b})")
             block = set(range(a, b + 2))
-            if block & self.variable_part:
+            if block & variable_part:
                 raise ValueError("minor block overlaps the variable part")
-        if not self.variable_part and self.minor_range is None:
+        if not variable_part and minor_range is None:
             raise ValueError("an empty structured prime is not allowed")
+        set_field(self, "variable_part", variable_part)
+        set_field(self, "minor_range", minor_range)
 
     def expand(self, context: VariableContext) -> Ideal:
         gens: list[Polynomial] = []
@@ -260,14 +260,24 @@ def _t2_candidates(n: int) -> tuple[StructuredPrime, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalPrimesReport:
-    candidates: tuple[StructuredPrime, ...]
-    contains_ideal: tuple[bool, ...]
-    incomparable: tuple[bool, ...]
-    intersection_is_radical: bool
-    verified: bool
-    intersection: Ideal | None = field(compare=False, default=None)
+class MinimalPrimesReport(Record):
+    _fields = (
+        "candidates", "contains_ideal", "incomparable",
+        "intersection_is_radical", "verified", "intersection",
+    )
+    _uncompared = ("intersection",)
+
+    def __init__(
+        self, candidates: tuple[StructuredPrime, ...], contains_ideal: tuple[bool, ...],
+        incomparable: tuple[bool, ...], intersection_is_radical: bool, verified: bool,
+        intersection: Ideal | None = None,
+    ):
+        set_field(self, "candidates", candidates)
+        set_field(self, "contains_ideal", contains_ideal)
+        set_field(self, "incomparable", incomparable)
+        set_field(self, "intersection_is_radical", intersection_is_radical)
+        set_field(self, "verified", verified)
+        set_field(self, "intersection", intersection)
 
 
 def _monomial_meet(context: VariableContext, ideals) -> Ideal:
@@ -407,14 +417,23 @@ def edge_ideal_height(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    graph: LabeledGraph
-    generator_count: int
-    height: int
-    is_complete_intersection: bool
-    is_almost_complete_intersection: bool
-    checks: tuple[str, ...]
+class PropertyReport(Record):
+    _fields = (
+        "graph", "generator_count", "height",
+        "is_complete_intersection", "is_almost_complete_intersection", "checks",
+    )
+
+    def __init__(
+        self, graph: LabeledGraph, generator_count: int, height: int,
+        is_complete_intersection: bool, is_almost_complete_intersection: bool,
+        checks: tuple[str, ...],
+    ):
+        set_field(self, "graph", graph)
+        set_field(self, "generator_count", generator_count)
+        set_field(self, "height", height)
+        set_field(self, "is_complete_intersection", is_complete_intersection)
+        set_field(self, "is_almost_complete_intersection", is_almost_complete_intersection)
+        set_field(self, "checks", checks)
 
 
 def property_report(graph: LabeledGraph, *, budget: int | None = None) -> PropertyReport:
@@ -473,25 +492,32 @@ def radical_verdict(graph: LabeledGraph, *, budget: int | None = None) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremInstance:
-    tag: str
-    name: str
-    payload: tuple
+class TheoremInstance(Record):
+    _fields = ("tag", "name", "payload")
+
+    def __init__(self, tag: str, name: str, payload: tuple):
+        set_field(self, "tag", tag)
+        set_field(self, "name", name)
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class InstanceResult:
-    name: str
-    passed: bool
-    detail: str
-    pairs_used: int = field(compare=False, default=0)
+class InstanceResult(Record):
+    _fields = ("name", "passed", "detail", "pairs_used")
+    _uncompared = ("pairs_used",)
+
+    def __init__(self, name: str, passed: bool, detail: str, pairs_used: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
+        set_field(self, "pairs_used", pairs_used)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    tag: str
-    results: tuple[InstanceResult, ...]
+class TheoremReport(Record):
+    _fields = ("tag", "results")
+
+    def __init__(self, tag: str, results: tuple[InstanceResult, ...]):
+        set_field(self, "tag", tag)
+        set_field(self, "results", results)
 
     @property
     def all_passed(self) -> bool:
@@ -813,6 +839,9 @@ def verify_theorem(
     instances = theorem_instances(tag, max_n, min_n)
     workers = min(jobs, len(instances), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool would cost every other process ~15 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(run_instance, instances, [budget] * len(instances)))
     else:

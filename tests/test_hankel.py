@@ -645,7 +645,7 @@ def test_parallel_sweep_starts_at_most_one_worker_per_cpu_and_instance(monkeypat
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(hankel_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert verify_theorem("prop3.5", 5, jobs=10**6).all_passed  # 5 instances
     verify_theorem("prop3.5", 4, jobs=10**6)  # 3 instances
