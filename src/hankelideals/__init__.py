@@ -44,9 +44,7 @@ from .ideal_ops import (
     is_minimal_generating_set,
     min_cover,
     monomial_dim,
-    monomial_is_complete_intersection,
     radical_member,
-    radicals_equal,
 )
 from .graphs import (
     GraphFormatError,

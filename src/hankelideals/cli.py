@@ -279,7 +279,7 @@ def _cmd_check(args, budget):
             lines = ["radical: unknown (no verified minimal-prime list for this class)"]
             result = {"ok": False, "property": args.property, "value": "unknown"}
             return _Outcome(2, lines, result, {"checks": notes}, graph)
-    report = property_report(graph, budget=budget)
+    report = property_report(graph)
     if args.property == "ci":
         value = report.is_complete_intersection
         label = "CI"

@@ -7,10 +7,7 @@ the leading monomial of the running remainder is always reduced first), and
 ascending by leading monomial, so bases are directly comparable.  The only
 shortcuts are the Gebauer-Moeller pair criteria (Buchberger's coprime
 criterion and the chain criterion), which skip S-pairs known to reduce to
-zero; there are no signature-based or modular ones.  A caller that needs
-only what the leading monomials found so far prove (a height, say) may pass
-`buchberger` a stopping predicate; a run it stops returns a `StoppedRun`,
-which holds only its pair count and is never cached.
+zero; there are no signature-based or modular ones.
 `is_groebner_basis` rechecks every S-pair and serves as the independent
 oracle for the computed bases.
 """
@@ -19,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 import heapq
-from typing import Callable
 
 from .ring import (
     ContextMismatchError,
@@ -118,15 +114,6 @@ class ReducedGroebnerBasis(Record):
         return len(self.elements)
 
 
-class StoppedRun(Record):
-    """A Buchberger run its stopping predicate ended; it keeps no basis."""
-
-    _fields = ("pairs_processed",)
-
-    def __init__(self, pairs_processed: int):
-        set_field(self, "pairs_processed", pairs_processed)
-
-
 # ---------------------------------------------------------------------------
 # division and S-polynomials
 # ---------------------------------------------------------------------------
@@ -194,8 +181,7 @@ def buchberger(
     order: MonomialOrder = REVLEX,
     *,
     budget: int | None = None,
-    until: Callable[[list[Mono]], bool] | None = None,
-) -> ReducedGroebnerBasis | StoppedRun:
+) -> ReducedGroebnerBasis:
     """The reduced Groebner basis of `ideal` under `order`.
 
     Pairs are handled in the normal strategy (smallest lcm first, then by
@@ -216,13 +202,6 @@ def buchberger(
     repeated call costs no pairs.  `budget` caps the pair reductions a
     computation performs (default 100,000); overruns raise
     BudgetExhaustedError and cache nothing.
-
-    `until`, when given, is asked with the leading monomials of the basis
-    so far (in the order they joined) once the generators are in and again
-    after each new element joins.  When it answers True the run stops and
-    returns a `StoppedRun` with the pairs reduced so far; it caches nothing,
-    so a later call without `until` computes the basis afresh.  A memoized
-    basis is returned as it is, without asking `until`.
     """
     cache_key = (ideal.context, ideal.generators, order)
     hit = _GB_CACHE.get(cache_key)
@@ -273,8 +252,7 @@ def buchberger(
 
     pairs_done = 0
     unit = False
-    stopped = until is not None and until(leads)
-    while heap and not stopped:
+    while heap:
         _, i, j, _ = heapq.heappop(heap)
         if pairs_done >= limit:
             raise BudgetExhaustedError(pairs_done)
@@ -289,10 +267,7 @@ def buchberger(
             unit = True
             break
         update(h)
-        stopped = until is not None and until(leads)
 
-    if stopped:
-        return StoppedRun(pairs_done)
     if unit:
         elements = (Polynomial.one(ideal.context),)
     else:

@@ -26,9 +26,14 @@ meeting their supports has that height, which gives the lower bound.  Every
 prime over I contains a minimal prime of I, so the height of any structured
 prime over I, decided by the rule in `StructuredPrime`, is an upper bound,
 and so is mu = |E| by Krull's height theorem.
-Heights, complete-intersection verdicts and the sweeps use the bracket and
-run Buchberger only when it does not settle the question, stopping the run
-once the leading monomials it has found prove the upper bound.
+
+Every prime over an edge ideal contains a prime P_T = (x_T) + I_{L_T} fixed
+by a feasible variable set T, and ht P_T = |T| + rank L_T; one search over
+these supports (`_feasible_supports`) decides heights and radical
+containment with no Groebner work.  Heights, complete-intersection verdicts
+and the sweeps use the bracket and search the supports only when it does
+not settle the question; Prop 2.8's radical comparison checks every edge
+minor of one graph against the supports of the other.
 `verify_theorem` packages the classification claims as named, replayable
 instance sweeps.
 """
@@ -48,13 +53,7 @@ from .groebner import (
     basis_cache_clear,
     pair_meter_total,
 )
-from .ideal_ops import (
-    height,
-    intersect_ideals,
-    min_cover,
-    radical_member,
-    radicals_equal,
-)
+from .ideal_ops import intersect_ideals, min_cover, radical_member
 from .graphs import (
     LabeledGraph,
     classify_labeling,
@@ -393,23 +392,74 @@ def height_bounds(graph: LabeledGraph) -> tuple[int, int, frozenset[int], Struct
     return len(cover), _prime_height(prime), cover, prime
 
 
-def edge_ideal_height(
-    graph: LabeledGraph, bounds: tuple | None = None, *, budget: int | None = None
-) -> int:
-    """Height of the edge ideal, proven between lo and min(hi, mu).
+def _feasible_supports(graph: LabeledGraph, below: int | None = None):
+    """Yields (cost, T, component) for the feasible supports of I_G.
 
-    hi is the height of a structured prime over I, and by Krull's height
-    theorem ht I <= mu = |E|, the number of generators.  When lo reaches
-    that upper bound it is the height.  Otherwise the revlex Buchberger run
-    decides it, stopping as soon as a smallest variable cover of the
-    leading monomials it has found, a lower bound on ht I, reaches the
-    upper bound (see `ideal_ops.height`).
+    A prime Q over I_G holds the variables x_T, and no monomial in the
+    others, so T kills both terms of each edge minor (meets {i, j+1} and
+    {j, i+1}) or avoids all four of its variables; such a T is feasible.
+    Q contains P_T = (x_T) + I_{L_T}, where L_T is spanned by d_i - d_j,
+    d_i = e_i - e_{i+1}, over the surviving edges {i, j}, those T does not
+    kill (Eisenbud & Sturmfels, "Binomial ideals", 1996, Cor. 2.5).  The
+    d_i span a saturated lattice, so P_T is prime, d_i - d_j lies in L_T
+    exactly when columns i and j lie in one component of the surviving
+    graph G_T, and ht P_T = |T| + rank L_T = |T| + n - c(G_T), counting
+    every column as a vertex.  `component` maps each column 1..n to a label
+    of its component in G_T (index 0 is unused).
+
+    The search branches per edge, in edge order: keep the minor (T avoids
+    its variables, which later edges may then not add) or kill it with one
+    variable from each unmet term.  Every feasible T contains a yielded T'
+    with the same surviving edges, so P_T' lies in P_T.  Unbounded, every
+    branch is yielded.  With `below`, a branch is abandoned once its cost
+    reaches the bound, and each yield lowers the bound to its cost, so the
+    last cost yielded is min ht P_T = ht I_G, if that is below `below`.
+    """
+    edges = graph.edge_list()
+    best = below
+    # depth first, kept minor before its kills, on an explicit stack: a
+    # graph may have more edges than Python allows nested calls
+    stack = [(0, frozenset(), frozenset(), tuple(range(graph.n + 1)), 0)]
+    while stack:
+        k, t, kept, comp, rank = stack.pop()
+        cost = len(t) + rank
+        if best is not None and cost >= best:
+            continue
+        if k == len(edges):
+            if below is not None:
+                best = cost
+            yield cost, t, comp
+            continue
+        i, j = edges[k]
+        lead, trail = {i, j + 1}, {j, i + 1}
+        for u in sorted(lead - kept, reverse=True) if not t & lead else [None]:
+            for v in sorted(trail - kept, reverse=True) if not t & trail else [None]:
+                grown = t | {w for w in (u, v) if w is not None}
+                stack.append((k + 1, grown, kept, comp, rank))
+        if not t & (lead | trail):
+            if comp[i] != comp[j]:
+                old, new = comp[j], comp[i]
+                comp, rank = tuple(new if c == old else c for c in comp), rank + 1
+            stack.append((k + 1, t, kept | lead | trail, comp, rank))
+
+
+def edge_ideal_height(graph: LabeledGraph, bounds: tuple | None = None) -> int:
+    """Height of the edge ideal: the least ht P_T over feasible supports T.
+
+    Every minimal prime of I is some P_T (see `_feasible_supports`), so
+    ht I = min |T| + rank L_T.  hi is the height of a structured prime over
+    I, and by Krull's height theorem ht I <= mu = |E|, the number of
+    generators.  When lo reaches that upper bound it is the height;
+    otherwise the support search starts from it and stops once a support
+    reaches lo.
     """
     lo, hi, _, _ = bounds or height_bounds(graph)
-    at_most = min(hi, len(graph.edges))
-    if lo >= at_most:
-        return at_most
-    return height(hankel_edge_ideal(graph).ideal, REVLEX, budget=budget, at_most=at_most)
+    ht = min(hi, len(graph.edges))
+    if lo < ht:
+        for ht, _, _ in _feasible_supports(graph, below=ht):
+            if ht <= lo:
+                break
+    return ht
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +486,7 @@ class PropertyReport(Record):
         set_field(self, "checks", checks)
 
 
-def property_report(graph: LabeledGraph, *, budget: int | None = None) -> PropertyReport:
+def property_report(graph: LabeledGraph) -> PropertyReport:
     """Generator count, height and (almost) complete-intersection flags of a
     connected labeled graph's edge ideal.
 
@@ -444,15 +494,14 @@ def property_report(graph: LabeledGraph, *, budget: int | None = None) -> Proper
     the minor of an edge {i < j} has leading monomial x_i*x_{j+1}, which gives
     back the edge, so the minors are linearly independent quadrics: none lies
     in the ideal of the others, and by graded Nakayama they generate
-    minimally.  The height comes from `edge_ideal_height`: from the bracket
-    when it pins it, otherwise from a Buchberger run that stops once it
-    proves the upper bound.
+    minimally.  The height comes from `edge_ideal_height`, with no Groebner
+    work.
     """
     if not graph.is_connected():
         raise ValueError("property report requires a connected graph")
     mu = len(graph.edges)
     bounds = height_bounds(graph)
-    ht = edge_ideal_height(graph, bounds, budget=budget)
+    ht = edge_ideal_height(graph, bounds)
     lo, hi, cover, prime = bounds
     cover_text = ", ".join(f"x{v}" for v in sorted(cover))
     checks = (
@@ -535,10 +584,10 @@ TAG_BOUNDS = {
     "cor2.3": (3, 6),
     "prop2.6": (3, 6),
     "cor2.7": (4, 8),
-    "thm3.1": (3, 8),
-    "thm3.2": (2, 8),
+    "thm3.1": (3, 10),
+    "thm3.2": (2, 10),
     "prop3.5": (3, 8),
-    "prop2.8-radical": (4, 7),
+    "prop2.8-radical": (4, 40),
 }
 
 
@@ -581,7 +630,7 @@ def _instances_thm22(n: int) -> list[TheoremInstance]:
 def _check_thm22(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (graph,) = inst.payload
     hank = hankel_edge_ideal(graph)
-    ht = edge_ideal_height(graph, budget=budget)
+    ht = edge_ideal_height(graph)
     report = verify_minimal_primes(hank, minimal_prime_candidates(graph), budget=budget)
     ok = report.verified and ht == graph.n - 1
     return ok, f"height={ht} (want {graph.n - 1}), primes verified={report.verified}"
@@ -635,7 +684,7 @@ def _instances_prop26(n: int) -> list[TheoremInstance]:
 
 def _check_prop26(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     graph, expect = inst.payload
-    report = property_report(graph, budget=budget)
+    report = property_report(graph)
     got = report.is_almost_complete_intersection
     return got == expect, f"almost-CI={got} (want {expect})"
 
@@ -655,7 +704,7 @@ def _instances_cor27(n: int) -> list[TheoremInstance]:
 def _check_cor27(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     graph, span = inst.payload
     closed = is_closed_labeling(graph)
-    report = property_report(graph, budget=budget)
+    report = property_report(graph)
     aci = report.is_almost_complete_intersection
     if span is None:
         # the complete graph: closed but almost-CI only at n=3
@@ -683,7 +732,7 @@ def _instances_thm31(n: int) -> list[TheoremInstance]:
 
 def _check_thm31(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (tree,) = inst.payload
-    ht = edge_ideal_height(tree, budget=budget)
+    ht = edge_ideal_height(tree)
     return ht <= tree.n - 2, f"height={ht} (bound {tree.n - 2})"
 
 
@@ -701,7 +750,7 @@ def _check_thm32(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     # means not; only a tree the bracket leaves open needs the exact height
     mu = len(tree.edges)
     bounds = lo, hi, _, _ = height_bounds(tree)
-    got = lo >= mu or (hi >= mu and edge_ideal_height(tree, bounds, budget=budget) == mu)
+    got = lo >= mu or (hi >= mu and edge_ideal_height(tree, bounds) == mu)
     return got == expect, f"CI={got} (want {expect})"
 
 
@@ -773,13 +822,28 @@ def _instances_prop28(n: int) -> list[TheoremInstance]:
     return out
 
 
+def _radical_within(graph: LabeledGraph, other: LabeledGraph) -> bool:
+    """Whether rad I_graph lies in rad I_other.
+
+    rad I_other is the meet of its P_T (see `_feasible_supports`), so this
+    holds exactly when every P_T contains every edge minor of `graph`.  The
+    minor of i < j is a binomial with exponent difference d_i - d_j, so it
+    lies in P_T exactly when T kills both of its terms, or T avoids all four
+    of its variables and columns i and j lie in one component of G_T.  A
+    column next to a variable of T has no surviving edge, so the component
+    test alone also checks that T avoids the variables.
+    """
+    return all(
+        comp[i] == comp[j] or (t & {i, j + 1} and t & {j, i + 1})
+        for _, t, comp in _feasible_supports(other)
+        for i, j in graph.edge_list()
+    )
+
+
 def _check_prop28(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     (graph,) = inst.payload
-    ok = radicals_equal(
-        hankel_edge_ideal(graph).ideal,
-        hankel_edge_ideal(path_graph(graph.n)).ideal,
-        budget=budget,
-    )
+    path = path_graph(graph.n)
+    ok = _radical_within(graph, path) and _radical_within(path, graph)
     return ok, "same radical as the labeled path"
 
 

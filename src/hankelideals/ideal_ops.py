@@ -7,7 +7,10 @@ few powers lies in I, or their remainders grow large, does it fall back to
 the classical one-extra-variable trick (p lies in the radical of I exactly
 when 1 lies in I + (1 - t*p)).  The dimension of a monomial quotient is
 the variable count minus the size of a smallest variable set meeting every
-generator's support, which `min_cover` finds by a branching search.
+generator's support, which `min_cover` finds by a branching search; the
+height of any ideal is the variable count minus that of its initial ideal,
+so it needs the whole Groebner basis.  (Edge ideals get theirs with no
+Groebner work, from feasible supports in `hankel`.)
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .ring import (
 from .groebner import (
     Ideal,
     MonomialIdeal,
-    StoppedRun,
     buchberger,
     ideal_member,
     initial_ideal,
@@ -95,15 +97,6 @@ def radical_member(p: Polynomial, ideal: Ideal, *, budget: int | None = None) ->
     return gb.elements == (Polynomial.one(ext),)
 
 
-def radicals_equal(a: Ideal, b: Ideal, *, budget: int | None = None) -> bool:
-    """Whether two ideals have the same radical (generator-wise both ways)."""
-    if a.context != b.context:
-        raise ContextMismatchError("incompatible contexts")
-    return all(radical_member(g, b, budget=budget) for g in a.generators) and all(
-        radical_member(g, a, budget=budget) for g in b.generators
-    )
-
-
 def min_cover(sets) -> frozenset:
     """A smallest set meeting every one of the given nonempty sets.
 
@@ -144,47 +137,14 @@ def monomial_dim(ideal: MonomialIdeal) -> int:
     return ideal.context.total_count - len(min_cover(supports))
 
 
-def height(
-    ideal: Ideal,
-    order: MonomialOrder = REVLEX,
-    *,
-    budget: int | None = None,
-    at_most: int | None = None,
-) -> int:
+def height(ideal: Ideal, order: MonomialOrder = REVLEX, *, budget: int | None = None) -> int:
     """Height (codimension) of a proper ideal via its initial ideal.
 
     Passing to leading monomials preserves the quotient dimension for any
     global order, so the height is the variable count minus the dimension of
     the initial ideal's quotient.
-
-    `at_most` must be a proven upper bound on the height of the (proper)
-    ideal.  Every element Buchberger's run has found lies in I, so a
-    smallest variable set meeting the supports of their leading monomials
-    is the height of a monomial ideal inside in(I), at most ht in(I) = ht I.
-    Once that cover reaches `at_most` the height is `at_most`, and the run
-    stops there; it is never cached.  The cover only grows as monomials
-    join, and is searched again only when one misses it.
     """
-    supports: list[frozenset] = []
-    cover = frozenset()
-
-    def proven(leads) -> bool:
-        nonlocal cover
-        fresh = [frozenset(i for i, e in enumerate(m) if e) for m in leads[len(supports) :]]
-        supports.extend(fresh)
-        if any(not s & cover for s in fresh):
-            cover = min_cover(supports)
-        return len(cover) >= at_most
-
-    gb = buchberger(ideal, order, budget=budget, until=None if at_most is None else proven)
-    if isinstance(gb, StoppedRun):
-        return at_most
-    if gb.elements == (Polynomial.one(ideal.context),):
-        raise ValueError("unit ideal")
-    ini = MonomialIdeal.from_monomials(
-        ideal.context, (g.leading_monomial(order) for g in gb.elements)
-    )
-    return ideal.context.total_count - monomial_dim(ini)
+    return ideal.context.total_count - monomial_dim(initial_ideal(ideal, order, budget=budget))
 
 
 def is_minimal_generating_set(
@@ -201,27 +161,12 @@ def is_minimal_generating_set(
     return True
 
 
-def monomial_is_complete_intersection(ideal: MonomialIdeal) -> bool:
-    """A proper monomial ideal is a complete intersection exactly when its
-    minimal generators have pairwise disjoint supports."""
-    if not ideal.is_proper:
-        raise ValueError("unit ideal")
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in ideal.generators]
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                return False
-    return True
-
-
 __all__ = [
     "intersect_ideals",
     "radical_member",
-    "radicals_equal",
     "min_cover",
     "monomial_dim",
     "height",
     "is_minimal_generating_set",
-    "monomial_is_complete_intersection",
     "initial_ideal",
 ]

@@ -2,7 +2,9 @@
 
 Everything here is written from the definitions, with no shortcuts and no
 imports from the code paths under test beyond plain data types, so agreement
-between an oracle and the library is meaningful evidence.
+between an oracle and the library is meaningful evidence.  The one exception
+is `radicals_equal`, which composes the library's `radical_member`; that in
+turn is checked against `rabinowitsch_member` here.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import cmp_to_key
 
-from hankelideals import LabeledGraph, Polynomial
+from hankelideals import LabeledGraph, Polynomial, radical_member
 
 
 def revlex_cmp(a, b) -> int:
@@ -135,6 +137,27 @@ def rabinowitsch_member(p: Polynomial, generators) -> bool:
     polys = [Polynomial.from_dict(ext, d) for d in lifted + [witness]]
     basis = plain_buchberger(polys, revlex_cmp)
     return [b.terms for b in basis] == [((unit, 1),)]
+
+
+def radicals_equal(a, b) -> bool:
+    """Whether two ideals in one context have the same radical: every
+    generator of each lies in the radical of the other."""
+    return all(radical_member(g, b) for g in a.generators) and all(
+        radical_member(g, a) for g in b.generators
+    )
+
+
+def monomial_is_complete_intersection(ideal) -> bool:
+    """A proper monomial ideal is a complete intersection exactly when its
+    minimal generators have pairwise disjoint supports."""
+    if not ideal.is_proper:
+        raise ValueError("unit ideal")
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in ideal.generators]
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            if supports[i] & supports[j]:
+                return False
+    return True
 
 
 def monomials_up_to(width: int, max_deg: int):

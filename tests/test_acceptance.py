@@ -34,11 +34,9 @@ from hankelideals import (
     is_rooted_labeling,
     minimal_prime_candidates,
     monomial_dim,
-    monomial_is_complete_intersection,
     path_graph,
     path_plus_chord,
     property_report,
-    radicals_equal,
     rational_curve_ideal,
     t1_path,
     t2_path,
@@ -48,7 +46,12 @@ from hankelideals import (
 )
 from hankelideals.hankel import expected_t1_initial, expected_t2_initial
 from hankelideals.ring import VariableContext
-from oracles import monomial_dim_by_subsets, rooted_labelings_by_filter
+from oracles import (
+    monomial_dim_by_subsets,
+    monomial_is_complete_intersection,
+    radicals_equal,
+    rooted_labelings_by_filter,
+)
 
 
 def _announce(capsys, number: int, started: float, detail: str) -> None:

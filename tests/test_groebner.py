@@ -33,7 +33,7 @@ from hankelideals import (
     t2_path,
 )
 from hankelideals.cli import main
-from hankelideals.groebner import StoppedRun, basis_cache_clear
+from hankelideals.groebner import basis_cache_clear
 from hankelideals.ring import extend_polynomial
 from conftest import polynomials
 from oracles import block_cmp, lex_cmp, plain_buchberger, revlex_cmp
@@ -267,25 +267,6 @@ def test_default_budget_calls_are_memoized():
     assert second is first
     third = buchberger(ideal, REVLEX, budget=10_000)
     assert third is first
-
-
-def test_a_stopping_predicate_ends_the_run_and_caches_nothing():
-    basis_cache_clear()
-    ideal = ideal_of(cycle_graph(5))
-    seen = []
-
-    def stop_after_two_new(leads):
-        seen.append(len(leads))
-        return len(leads) >= len(ideal.generators) + 2
-
-    stopped = buchberger(ideal, REVLEX, until=stop_after_two_new)
-    assert isinstance(stopped, StoppedRun) and stopped.pairs_processed > 0
-    # asked once the generators are in, then after each element that joins
-    assert seen == list(range(len(ideal.generators), len(ideal.generators) + 3))
-    assert buchberger(ideal, REVLEX, until=lambda leads: True) == StoppedRun(0)
-    full = buchberger(ideal, REVLEX)
-    assert full.pairs_processed > stopped.pairs_processed
-    assert buchberger(ideal, REVLEX, until=lambda leads: True) is full
 
 
 def test_pair_counts_stay_within_the_criteria_bounds(capsys):

@@ -23,6 +23,7 @@ from hankelideals import (
     complete_graph,
     complete_graph_minus_long_edge,
     cycle_graph,
+    enumerate_rooted_labelings,
     figure1_graph,
     figure2_graph,
     figure3_graph,
@@ -38,7 +39,6 @@ from hankelideals import (
     intersect_ideals,
     is_minimal_generating_set,
     minimal_prime_candidates,
-    monomial_is_complete_intersection,
     parse_polynomial,
     path_graph,
     path_plus_chord,
@@ -47,6 +47,7 @@ from hankelideals import (
     rational_curve_prime,
     t1_path,
     t2_path,
+    tree_classes,
     verify_minimal_primes,
     verify_theorem,
 )
@@ -62,8 +63,12 @@ from hankelideals.hankel import (
 from conftest import connected_graphs
 from oracles import (
     connected_graph_classes,
+    height_by_buchberger,
     member_by_buchberger,
     monomial_dim_by_subsets,
+    monomial_is_complete_intersection,
+    rabinowitsch_member,
+    radicals_equal,
     rank_over_q,
 )
 
@@ -511,7 +516,7 @@ def test_tree_verdicts_skip_the_height_when_the_bracket_settles_them(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the bracket decides this tree")
 
-    monkeypatch.setattr(hankel_module, "height", refuse)
+    monkeypatch.setattr(hankel_module, "_feasible_supports", refuse)
     decided = 0
     for inst in theorem_instances("thm3.2", 6):
         (tree,) = inst.payload
@@ -520,6 +525,117 @@ def test_tree_verdicts_skip_the_height_when_the_bracket_settles_them(monkeypatch
             assert run_instance(inst).passed, inst.name
             decided += 1
     assert decided > 0
+
+
+# -- feasible supports ---------------------------------------------------------------------------
+
+
+def _support_height(graph) -> int:
+    return min(cost for cost, _, _ in hankel_module._feasible_supports(graph))
+
+
+def _lattice_row(i: int, j: int) -> dict:
+    # d_i - d_j with d_i = e_i - e_{i+1}: the exponent difference of minor (i, j)
+    row: dict = {}
+    for v, sign in ((i, 1), (i + 1, -1), (j, -1), (j + 1, 1)):
+        row[v] = row.get(v, 0) + sign
+    return row
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_feasible_support_contains_a_yielded_one_of_the_stated_cost(data):
+    graph = data.draw(connected_graphs())
+    edges = graph.edge_list()
+    leaves = list(hankel_module._feasible_supports(graph))
+    for cost, t, comp in leaves:
+        surviving = [(i, j) for i, j in edges if not (t & {i, j + 1} and t & {j, i + 1})]
+        assert all(not t & {i, i + 1, j, j + 1} for i, j in surviving), (graph, t)
+        assert all(comp[i] == comp[j] for i, j in surviving)
+        assert cost == len(t) + rank_over_q(_lattice_row(i, j) for i, j in surviving)
+        assert len(set(comp[1:])) == graph.n - (cost - len(t))
+    # brute force over every variable set: a feasible one holds a yielded
+    # support that kills the same edges
+    for size in range(graph.n + 2):
+        for chosen in itertools.combinations(range(1, graph.n + 2), size):
+            t = set(chosen)
+            killed = {(i, j) for i, j in edges if t & {i, j + 1} and t & {j, i + 1}}
+            if any(t & {i, i + 1, j, j + 1} for i, j in set(edges) - killed):
+                continue
+            assert any(
+                leaf <= t and {(i, j) for i, j in edges if leaf & {i, j + 1} and leaf & {j, i + 1}} == killed
+                for _, leaf, _ in leaves
+            ), (graph, t)
+
+
+def test_support_heights_match_the_groebner_oracle_on_trees_and_figures():
+    graphs = [t for n in range(2, 7) for shape in tree_classes(n) for t in enumerate_rooted_labelings(shape)]
+    graphs += [figure1_graph(), figure2_graph(), figure3_graph()]
+    for graph in graphs:
+        want = height_by_buchberger(hankel_edge_ideal(graph).ideal.generators)
+        assert _support_height(graph) == hankel_module.edge_ideal_height(graph) == want, graph
+    # fig4's oracle height takes about 2 s; the criteria basis (370 pairs)
+    # stands in, and the least support is the prime the bracket reports
+    fig4 = figure4_tree()
+    assert _support_height(fig4) == hankel_module.edge_ideal_height(fig4) == 6
+    assert height(hankel_edge_ideal(fig4).ideal) == 6
+    cheapest = [t for cost, t, _ in hankel_module._feasible_supports(fig4) if cost == 6]
+    assert frozenset({1, 2, 3, 5, 8, 9}) in cheapest
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_support_heights_match_the_groebner_oracle(data):
+    graph = data.draw(connected_graphs())
+    want = height_by_buchberger(hankel_edge_ideal(graph).ideal.generators)
+    assert _support_height(graph) == hankel_module.edge_ideal_height(graph) == want, graph
+
+
+def _random_connected(rng, n: int) -> LabeledGraph:
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    while True:
+        graph = LabeledGraph.of(n, rng.sample(pairs, rng.randint(n - 1, len(pairs))))
+        if graph.is_connected():
+            return graph
+
+
+def test_radical_containment_rule_matches_rabinowitsch():
+    # half the random pairs add edges to the first graph, so containment
+    # holds; in the fixed pairs only the component test refutes it
+    rng = random.Random("radical-containment")
+    pairs = [
+        (LabeledGraph.of(4, [(2, 4)]), LabeledGraph.of(4, [(1, 2), (2, 3)])),
+        (LabeledGraph.of(5, [(1, 4)]), LabeledGraph.of(5, [(3, 4), (4, 5)])),
+    ]
+    for k in range(24):
+        n = rng.randint(3, 5)
+        graph = _random_connected(rng, n)
+        if k % 2:
+            other = _random_connected(rng, n)
+        else:
+            other = graph.with_edges(rng.sample(list(itertools.combinations(range(1, n + 1), 2)), 2))
+        pairs.append((graph, other))
+    outcomes = set()
+    for graph, other in pairs:
+        gens = hankel_edge_ideal(other).ideal.generators
+        want = all(rabinowitsch_member(g, gens) for g in hankel_edge_ideal(graph).ideal.generators)
+        assert hankel_module._radical_within(graph, other) == want, (graph, other)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_radical_comparison_matches_radicals_equal():
+    # the claim's own instances, and graphs outside it, so both answers occur
+    instances = theorem_instances("prop2.8-radical", 6)
+    for label, graph in [("c4", cycle_graph(4)), ("c5", cycle_graph(5)), ("k4", complete_graph(4)), ("fig1", figure1_graph())]:
+        instances.append(TheoremInstance("prop2.8-radical", label, (graph,)))
+    outcomes = set()
+    for inst in instances:
+        (graph,) = inst.payload
+        want = radicals_equal(hankel_edge_ideal(graph).ideal, hankel_edge_ideal(path_graph(graph.n)).ideal)
+        assert run_instance(inst).passed == want, inst.name
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # -- the sampled classification invariants ------------------------------------------------------
@@ -589,9 +705,11 @@ def test_theorem_tag_bounds():
     with pytest.raises(ValueError, match="too large"):
         verify_theorem("thm2.2", 7)
     with pytest.raises(ValueError, match="too large"):
-        theorem_instances("thm3.2", 9)
+        theorem_instances("thm3.2", 11)
     with pytest.raises(ValueError, match="too large"):
-        theorem_instances("thm3.1", 9)
+        theorem_instances("thm3.1", 11)
+    with pytest.raises(ValueError, match="too large"):
+        theorem_instances("prop2.8-radical", 41)
     with pytest.raises(ValueError, match="below"):
         theorem_instances("cor2.7", 5, min_n=2)
     # an empty range would replay as a 0/0 pass
@@ -611,7 +729,7 @@ def test_sweep_names_are_unique():
     report = verify_theorem("thm3.2", 5)
     names = [r.name for r in report.results]
     assert len(names) == len(set(names))
-    assert report.pairs_used > 0
+    assert verify_theorem("prop3.5", 5).pairs_used > 0
 
 
 def test_instances_are_picklable():

@@ -30,18 +30,22 @@ from hankelideals import (
     intersect_ideals,
     is_minimal_generating_set,
     monomial_dim,
-    monomial_is_complete_intersection,
     parse_polynomial,
     path_graph,
     radical_member,
-    radicals_equal,
     t1_path,
     t2_path,
 )
 from hankelideals import ideal_ops
 from hankelideals.groebner import basis_cache_clear, pair_meter_total
 from conftest import connected_graphs
-from oracles import height_by_buchberger, monomial_dim_by_subsets, rabinowitsch_member
+from oracles import (
+    height_by_buchberger,
+    monomial_dim_by_subsets,
+    monomial_is_complete_intersection,
+    rabinowitsch_member,
+    radicals_equal,
+)
 
 CONNECTED_FIXTURES = [
     path_graph(2),
@@ -250,32 +254,29 @@ def test_height_of_variable_ideals():
 
 def test_height_unit_ideal_rejected():
     ctx = VariableContext(3)
-    for at_most in (None, 1):
-        with pytest.raises(ValueError):
-            height(Ideal(ctx, (Polynomial.one(ctx),)), at_most=at_most)
+    with pytest.raises(ValueError):
+        height(Ideal(ctx, (Polynomial.one(ctx),)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_height_with_any_proven_upper_bound_matches_the_oracle(data):
+def test_height_matches_the_oracle(data):
     graph = data.draw(connected_graphs())
     ideal = ideal_of(graph)
-    true = height_by_buchberger(ideal.generators)
-    for bound in range(true, true + 3):
-        basis_cache_clear()
-        assert height(ideal, at_most=bound) == true, (graph, bound)
+    basis_cache_clear()
+    assert height(ideal) == height_by_buchberger(ideal.generators), graph
 
 
-def test_a_memoized_basis_gives_the_bounded_height_for_no_pairs():
-    # fig4 has height 6; a fresh run proves it after 13 of its 370 pairs
+def test_a_memoized_basis_gives_the_height_for_no_pairs():
+    # fig4 has height 6; its revlex basis takes 370 pairs, once
     basis_cache_clear()
     ideal = ideal_of(figure4_tree())
     costs = []
-    for compute in (lambda: height(ideal, at_most=6), lambda: height(ideal), lambda: height(ideal, at_most=6)):
+    for _ in range(2):
         before = pair_meter_total()
-        assert compute() == 6
+        assert height(ideal) == 6
         costs.append(pair_meter_total() - before)
-    assert costs == [13, 370, 0]
+    assert costs == [370, 0]
 
 
 def test_height_is_order_independent_on_fixtures():
