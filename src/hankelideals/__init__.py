@@ -64,7 +64,6 @@ from .graphs import (
     format_graph_file,
     is_closed_labeling,
     is_rooted_labeling,
-    maximal_cliques,
     parse_graph_file,
     path_graph,
     path_plus_chord,

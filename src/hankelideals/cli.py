@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .ring import PolynomialParseError, REVLEX, LEX, format_polynomial
+from .ring import REVLEX, LEX, format_polynomial
 from .groebner import (
     BudgetExhaustedError,
     buchberger,
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"error: bad candidate file: {err}", file=sys.stderr)
         return 2
-    except (GraphFormatError, PolynomialParseError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

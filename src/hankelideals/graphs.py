@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .ring import Record, set_field
+from .ring import Record
 
 Edge = tuple[int, int]
 
@@ -36,8 +36,7 @@ class LabeledGraph(Record):
             i, j = e
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge {e}: need 1 <= i < j <= {n}")
-        set_field(self, "n", n)
-        set_field(self, "edges", edges)
+        super().__init__(n, edges)
 
     @classmethod
     def of(cls, n: int, edges) -> "LabeledGraph":
@@ -103,17 +102,6 @@ class LabelClass(Record):
         "labeled_hamiltonian", "labeled_semi_hamiltonian", "closed_labeling",
     )
 
-    def __init__(
-        self, connected: bool, tree: bool, path: bool,
-        labeled_hamiltonian: bool, labeled_semi_hamiltonian: bool, closed_labeling: bool,
-    ):
-        set_field(self, "connected", connected)
-        set_field(self, "tree", tree)
-        set_field(self, "path", path)
-        set_field(self, "labeled_hamiltonian", labeled_hamiltonian)
-        set_field(self, "labeled_semi_hamiltonian", labeled_semi_hamiltonian)
-        set_field(self, "closed_labeling", closed_labeling)
-
 
 def has_spine(graph: LabeledGraph) -> bool:
     """Whether all consecutive edges {i, i+1} are present."""
@@ -131,40 +119,23 @@ def classify_labeling(graph: LabeledGraph) -> LabelClass:
     spine = has_spine(graph)
     closing = graph.n > 1 and graph.has_edge(1, graph.n)
     return LabelClass(
-        connected=graph.is_connected(),
-        tree=graph.is_tree(),
-        path=graph.is_path_shape(),
-        labeled_hamiltonian=spine and closing,
-        labeled_semi_hamiltonian=spine and not closing,
-        closed_labeling=is_closed_labeling(graph),
+        graph.is_connected(), graph.is_tree(), graph.is_path_shape(),
+        spine and closing, spine and not closing, is_closed_labeling(graph),
     )
 
 
-def maximal_cliques(graph: LabeledGraph) -> list[frozenset[int]]:
-    """All maximal cliques, by pivoting branch and bound, sorted for output."""
-    adjacency = _adjacency(graph)
-    found: list[frozenset[int]] = []
-
-    def expand(clique: set[int], candidates: set[int], excluded: set[int]):
-        if not candidates and not excluded:
-            found.append(frozenset(clique))
-            return
-        pivot = max(sorted(candidates | excluded), key=lambda v: len(adjacency[v] & candidates))
-        for v in sorted(candidates - adjacency[pivot]):
-            expand(clique | {v}, candidates & adjacency[v], excluded & adjacency[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    expand(set(), set(range(1, graph.n + 1)), set())
-    return sorted(found, key=sorted)
-
-
 def is_closed_labeling(graph: LabeledGraph) -> bool:
-    """Whether every maximal clique is an interval of consecutive labels."""
-    for clique in maximal_cliques(graph):
-        if max(clique) - min(clique) + 1 != len(clique):
-            return False
-    return True
+    """Whether every maximal clique is an interval of consecutive labels.
+
+    Decided by the edge rule: each edge {i < j} with j - i >= 2 needs the
+    edges {i, j-1} and {i+1, j}.  Under the rule, induction on j - i makes
+    [i, j] a clique for every edge {i, j}, so a maximal clique C, which
+    holds the edge {min C, max C}, spans the clique [min C, max C] and by
+    maximality is that interval.  Conversely, if every maximal clique is an
+    interval, the one holding an edge {i, j} contains [i, j].
+    """
+    edges = graph.edges
+    return all(j - i < 2 or ((i, j - 1) in edges and (i + 1, j) in edges) for i, j in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +154,6 @@ class RootedLabelingCertificate(Record):
     """
 
     _fields = ("parents",)
-
-    def __init__(self, parents: tuple[int, ...]):
-        set_field(self, "parents", parents)
 
     def parent_of(self, v: int) -> int:
         if v < 2 or v > len(self.parents) + 1:

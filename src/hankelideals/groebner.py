@@ -31,7 +31,6 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    set_field,
     unit_mono,
 )
 
@@ -86,8 +85,7 @@ class Ideal(Record):
                 raise ContextMismatchError("incompatible contexts")
             if g.is_zero:
                 raise ValueError("zero generators are not allowed")
-        set_field(self, "context", context)
-        set_field(self, "generators", generators)
+        super().__init__(context, generators)
 
     @classmethod
     def of(cls, context: VariableContext, generators) -> "Ideal":
@@ -97,15 +95,6 @@ class Ideal(Record):
 class ReducedGroebnerBasis(Record):
     _fields = ("source", "order", "elements", "pairs_processed")
     _uncompared = ("pairs_processed",)
-
-    def __init__(
-        self, source: Ideal, order: MonomialOrder, elements: tuple[Polynomial, ...],
-        pairs_processed: int = 0,
-    ):
-        set_field(self, "source", source)
-        set_field(self, "order", order)
-        set_field(self, "elements", elements)
-        set_field(self, "pairs_processed", pairs_processed)
 
     def __iter__(self):
         return iter(self.elements)
@@ -344,8 +333,7 @@ class MonomialIdeal(Record):
         for m in generators:
             if len(m) != width:
                 raise ContextMismatchError("incompatible contexts")
-        set_field(self, "context", context)
-        set_field(self, "generators", generators)
+        super().__init__(context, generators)
 
     @classmethod
     def from_monomials(cls, context: VariableContext, monos) -> "MonomialIdeal":

@@ -43,10 +43,20 @@ from __future__ import annotations
 import os
 import random
 
-from .ring import Polynomial, REVLEX, Record, VariableContext, mono_lcm, set_field, unit_mono
+from .ring import (
+    Polynomial,
+    REVLEX,
+    Record,
+    VariableContext,
+    block_elim,
+    mono_lcm,
+    restrict_polynomial,
+    unit_mono,
+)
 from .groebner import (
     Ideal,
     MonomialIdeal,
+    buchberger,
     ideal_member,
     ideals_equal,
     initial_ideal,
@@ -94,10 +104,6 @@ class HankelIdeal(Record):
     """The edge ideal of a labeled graph, with generators indexed by edge."""
 
     _fields = ("graph", "ideal")
-
-    def __init__(self, graph: LabeledGraph, ideal: Ideal):
-        set_field(self, "graph", graph)
-        set_field(self, "ideal", ideal)
 
     def generator_for(self, i: int, j: int) -> Polynomial:
         if not self.graph.has_edge(i, j):
@@ -154,8 +160,7 @@ class StructuredPrime(Record):
                 raise ValueError("minor block overlaps the variable part")
         if not variable_part and minor_range is None:
             raise ValueError("an empty structured prime is not allowed")
-        set_field(self, "variable_part", variable_part)
-        set_field(self, "minor_range", minor_range)
+        super().__init__(variable_part, minor_range)
 
     def expand(self, context: VariableContext) -> Ideal:
         gens: list[Polynomial] = []
@@ -265,18 +270,6 @@ class MinimalPrimesReport(Record):
         "intersection_is_radical", "verified", "intersection",
     )
     _uncompared = ("intersection",)
-
-    def __init__(
-        self, candidates: tuple[StructuredPrime, ...], contains_ideal: tuple[bool, ...],
-        incomparable: tuple[bool, ...], intersection_is_radical: bool, verified: bool,
-        intersection: Ideal | None = None,
-    ):
-        set_field(self, "candidates", candidates)
-        set_field(self, "contains_ideal", contains_ideal)
-        set_field(self, "incomparable", incomparable)
-        set_field(self, "intersection_is_radical", intersection_is_radical)
-        set_field(self, "verified", verified)
-        set_field(self, "intersection", intersection)
 
 
 def _monomial_meet(context: VariableContext, ideals) -> Ideal:
@@ -473,18 +466,6 @@ class PropertyReport(Record):
         "is_complete_intersection", "is_almost_complete_intersection", "checks",
     )
 
-    def __init__(
-        self, graph: LabeledGraph, generator_count: int, height: int,
-        is_complete_intersection: bool, is_almost_complete_intersection: bool,
-        checks: tuple[str, ...],
-    ):
-        set_field(self, "graph", graph)
-        set_field(self, "generator_count", generator_count)
-        set_field(self, "height", height)
-        set_field(self, "is_complete_intersection", is_complete_intersection)
-        set_field(self, "is_almost_complete_intersection", is_almost_complete_intersection)
-        set_field(self, "checks", checks)
-
 
 def property_report(graph: LabeledGraph) -> PropertyReport:
     """Generator count, height and (almost) complete-intersection flags of a
@@ -544,29 +525,14 @@ def radical_verdict(graph: LabeledGraph, *, budget: int | None = None) -> tuple[
 class TheoremInstance(Record):
     _fields = ("tag", "name", "payload")
 
-    def __init__(self, tag: str, name: str, payload: tuple):
-        set_field(self, "tag", tag)
-        set_field(self, "name", name)
-        set_field(self, "payload", payload)
-
 
 class InstanceResult(Record):
     _fields = ("name", "passed", "detail", "pairs_used")
     _uncompared = ("pairs_used",)
 
-    def __init__(self, name: str, passed: bool, detail: str, pairs_used: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "passed", passed)
-        set_field(self, "detail", detail)
-        set_field(self, "pairs_used", pairs_used)
-
 
 class TheoremReport(Record):
     _fields = ("tag", "results")
-
-    def __init__(self, tag: str, results: tuple[InstanceResult, ...]):
-        set_field(self, "tag", tag)
-        set_field(self, "results", results)
 
     @property
     def all_passed(self) -> bool:
@@ -643,11 +609,25 @@ def _instances_cor23(n: int) -> list[TheoremInstance]:
     ]
 
 
+def _curve_kernel(n: int, budget: int | None) -> Ideal:
+    """The kernel of x_i -> s^(n+1-i)*t^(i-1), i = 1..n+1, by eliminating
+    s and t: the rational normal curve's ideal, built without any minor."""
+    context = VariableContext(n + 1)
+    ext = context.extended("s").extended("t")
+    s, t = Polynomial.auxiliary(ext, 1), Polynomial.auxiliary(ext, 2)
+    parametrization = Ideal.of(
+        ext, (Polynomial.variable(ext, i) - s ** (n + 1 - i) * t ** (i - 1) for i in range(1, n + 2))
+    )
+    basis = buchberger(parametrization, block_elim(2), budget=budget)
+    kept = [g for g in basis if all(m[-2:] == (0, 0) for m, _ in g.terms)]
+    return Ideal.of(context, (restrict_polynomial(g, context) for g in kept))
+
+
 def _check_cor23(inst: TheoremInstance, budget: int | None) -> tuple[bool, str]:
     n, which = inst.payload
     if which == "complete":
         ok = ideals_equal(
-            hankel_edge_ideal(complete_graph(n)).ideal, rational_curve_ideal(n), budget=budget
+            hankel_edge_ideal(complete_graph(n)).ideal, _curve_kernel(n, budget), budget=budget
         )
         return ok, "edge ideal of the complete graph equals the curve ideal"
     context = VariableContext(n + 1)
@@ -860,21 +840,18 @@ _SWEEPS = {
 }
 
 
-def theorem_instances(tag: str, max_n: int, min_n: int | None = None) -> list[TheoremInstance]:
+def theorem_instances(tag: str, max_n: int) -> list[TheoremInstance]:
     if tag not in _SWEEPS:
         raise ValueError(f"unknown theorem tag {tag!r}")
     lo, hi = TAG_BOUNDS[tag]
     if max_n > hi:
         raise ValueError(f"n range too large for {tag} (limit {hi})")
-    start = lo if min_n is None else min_n
-    if start < lo:
-        raise ValueError(f"n range starts below {lo} for {tag}")
     out: list[TheoremInstance] = []
-    for n in range(start, max_n + 1):
+    for n in range(lo, max_n + 1):
         out.extend(_SWEEPS[tag][0](n))
     if not out:
         # an empty sweep would report 0/0 as a pass
-        raise ValueError(f"no {tag} instances for n from {start} to {max_n}")
+        raise ValueError(f"no {tag} instances for n from {lo} to {max_n}")
     return out
 
 
@@ -888,8 +865,7 @@ def run_instance(inst: TheoremInstance, budget: int | None = None) -> InstanceRe
 
 
 def verify_theorem(
-    tag: str, max_n: int, *, min_n: int | None = None, jobs: int = 1,
-    budget: int | None = None,
+    tag: str, max_n: int, *, jobs: int = 1, budget: int | None = None
 ) -> TheoremReport:
     """Runs every instance of a tagged claim for n up to max_n.
 
@@ -900,7 +876,7 @@ def verify_theorem(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    instances = theorem_instances(tag, max_n, min_n)
+    instances = theorem_instances(tag, max_n)
     workers = min(jobs, len(instances), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool would cost every other process ~15 ms of start-up

@@ -188,6 +188,19 @@ def height_by_buchberger(generators) -> int:
     return width - monomial_dim_by_subsets(width, [[v for v, e in enumerate(m) if e] for m in leads])
 
 
+def maximal_cliques(graph: LabeledGraph) -> list[frozenset[int]]:
+    """Every vertex set whose pairs are all edges and that no other such set
+    contains, sorted for output."""
+    vertices = range(1, graph.n + 1)
+    cliques = [
+        frozenset(c)
+        for k in range(1, graph.n + 1)
+        for c in itertools.combinations(vertices, k)
+        if all(graph.has_edge(i, j) for i, j in itertools.combinations(c, 2))
+    ]
+    return sorted((c for c in cliques if not any(c < d for d in cliques)), key=sorted)
+
+
 def rooted_labelings_by_filter(tree: LabeledGraph, predicate) -> list[LabeledGraph]:
     """All n! relabelings of the tree that satisfy the predicate, deduped."""
     n = tree.n

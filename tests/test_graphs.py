@@ -24,7 +24,6 @@ from hankelideals import (
     format_graph_file,
     is_closed_labeling,
     is_rooted_labeling,
-    maximal_cliques,
     parse_graph_file,
     path_graph,
     path_plus_chord,
@@ -34,7 +33,7 @@ from hankelideals import (
 )
 from hankelideals.graphs import tree_canonical_form
 from hankelideals.hankel import theorem_instances
-from oracles import pruefer_trees, relabelings, rooted_labelings_by_filter
+from oracles import maximal_cliques, pruefer_trees, relabelings, rooted_labelings_by_filter
 
 
 # -- construction and the file format ------------------------------------------------
@@ -163,6 +162,19 @@ def test_figure2_cliques_and_closedness():
 def test_maximal_cliques_on_disjoint_edges():
     g = LabeledGraph.of(4, [(1, 2), (3, 4)])
     assert maximal_cliques(g) == [frozenset({1, 2}), frozenset({3, 4})]
+
+
+def test_closed_labeling_edge_rule_matches_the_clique_definition():
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                graph = LabeledGraph(n, frozenset(edges))
+                intervals = all(max(c) - min(c) + 1 == len(c) for c in maximal_cliques(graph))
+                assert is_closed_labeling(graph) == intervals, edges
+                checked += 1
+    assert checked == 1099
 
 
 # -- rooted labelings ------------------------------------------------------------------------

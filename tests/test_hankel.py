@@ -710,8 +710,6 @@ def test_theorem_tag_bounds():
         theorem_instances("thm3.1", 11)
     with pytest.raises(ValueError, match="too large"):
         theorem_instances("prop2.8-radical", 41)
-    with pytest.raises(ValueError, match="below"):
-        theorem_instances("cor2.7", 5, min_n=2)
     # an empty range would replay as a 0/0 pass
     for tag, max_n in [("thm2.2", 1), ("thm2.2", -4), ("cor2.7", 3), ("thm3.1", 3)]:
         with pytest.raises(ValueError, match="no .* instances"):
@@ -723,6 +721,18 @@ def test_small_sweeps_pass():
         report = verify_theorem(tag, max_n)
         assert report.all_passed, tag
         assert report.results, tag
+
+
+def test_cor23_complete_instances_catch_a_wrong_complete_graph(monkeypatch):
+    # the curve ideal comes from its parametrization, not from complete_graph,
+    # so a complete graph missing the edge {1, 2} fails every instance
+    def missing_edge(n):
+        return LabeledGraph(n, complete_graph(n).edges - {(1, 2)})
+
+    monkeypatch.setattr(hankel_module, "complete_graph", missing_edge)
+    complete = [inst for inst in theorem_instances("cor2.3", 5) if inst.payload[1] == "complete"]
+    assert len(complete) == 3
+    assert not any(run_instance(inst).passed for inst in complete)
 
 
 def test_sweep_names_are_unique():

@@ -10,11 +10,14 @@ from hankelideals import (
     Ideal,
     InstanceResult,
     LEX,
+    LabelClass,
     LabeledGraph,
     MinimalPrimesReport,
     MonomialIdeal,
     MonomialOrder,
     Polynomial,
+    PropertyReport,
+    RootedLabelingCertificate,
     REVLEX,
     ReducedGroebnerBasis,
     StructuredPrime,
@@ -94,7 +97,7 @@ def test_bookkeeping_fields_stay_out_of_equality_and_hash():
     fields = ((prime,), (True,), (True,), True, True)
     reports = [MinimalPrimesReport(*fields, meet) for meet in (None, ideal)]
     assert reports[0] == reports[1] and hash(reports[0]) == hash(reports[1])
-    assert reports[0] != MinimalPrimesReport(*fields[:-1], False)
+    assert reports[0] != MinimalPrimesReport(*fields[:-1], False, None)
 
 
 def test_equality_needs_the_same_type():
@@ -111,6 +114,22 @@ def test_repr_names_every_field():
     assert repr(StructuredPrime(frozenset({2}))) == (
         "StructuredPrime(variable_part=frozenset({2}), minor_range=None)"
     )
+
+
+PLAIN_RECORDS = [
+    LabelClass, RootedLabelingCertificate, ReducedGroebnerBasis, HankelIdeal,
+    MinimalPrimesReport, PropertyReport, TheoremInstance, InstanceResult, TheoremReport,
+]
+
+
+def test_plain_records_take_exactly_one_value_per_field():
+    for cls in PLAIN_RECORDS:
+        width = len(cls._fields)
+        assert "__init__" not in vars(cls), cls.__name__
+        assert cls(*range(width)) == cls(*range(width))
+        for wrong in (width - 1, width + 1):
+            with pytest.raises(TypeError):
+                cls(*range(wrong))
 
 
 def test_constructors_reject_bad_input():
