@@ -83,6 +83,7 @@ from .hankel import (
     hankel_edge_ideal,
     hankel_generator,
     height_bounds,
+    height_witness,
     minimal_prime_candidates,
     property_report,
     rational_curve_ideal,

@@ -21,7 +21,6 @@ from .groebner import (
     pair_meter_reset,
     pair_meter_total,
 )
-from .ideal_ops import height
 from .graphs import (
     GraphFormatError,
     builtin_graph,
@@ -35,6 +34,7 @@ from .hankel import (
     StructuredPrime,
     TAG_BOUNDS,
     hankel_edge_ideal,
+    height_witness,
     minimal_prime_candidates,
     property_report,
     radical_verdict,
@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("height", help="print the height of the edge ideal")
     _add_graph_source(sub)
-    _add_order(sub)
 
     sub = commands.add_parser("classify", help="report the labeling class of the graph")
     _add_graph_source(sub)
@@ -193,11 +192,11 @@ def _cmd_initial(args, budget):
 
 
 def _cmd_height(args, budget):
+    # the height of the cheapest feasible support, with no Groebner work; the
+    # support and the blocks of its prime P_T are the evidence
     graph = _load_graph(args)
-    hank = hankel_edge_ideal(graph)
-    ht = height(hank.ideal, _ORDERS[args.order], budget=budget)
-    mono = initial_ideal(hank.ideal, _ORDERS[args.order], budget=budget)
-    evidence = {"initial_ideal": mono.generator_strings()}
+    ht, support, blocks = height_witness(graph)
+    evidence = {"support": sorted(support), "blocks": [list(c) for c in blocks]}
     return _Outcome(0, [f"height = {ht}"], {"height": ht}, evidence, graph)
 
 

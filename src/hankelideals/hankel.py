@@ -30,10 +30,14 @@ and so is mu = |E| by Krull's height theorem.
 Every prime over an edge ideal contains a prime P_T = (x_T) + I_{L_T} fixed
 by a feasible variable set T, and ht P_T = |T| + rank L_T; one search over
 these supports (`_feasible_supports`) decides heights and radical
-containment with no Groebner work.  Heights, complete-intersection verdicts
-and the sweeps use the bracket and search the supports only when it does
-not settle the question; Prop 2.8's radical comparison checks every edge
-minor of one graph against the supports of the other.
+containment with no Groebner work.  `height_witness` reads the height off
+one search bounded by mu = |E| (Krull) and returns the cheapest support
+with the blocks of its prime, a witness anyone can check: P_T contains
+every edge minor, and its height is |T| + sum(|C| - 1).  The CLI `height`
+and the complete-intersection verdicts use it.  The tree sweeps use the
+bracket and search the supports only when it does not settle the
+question; Prop 2.8's radical comparison checks every edge minor of one
+graph against the supports of the other.
 `verify_theorem` packages the classification claims as named, replayable
 instance sweeps.
 """
@@ -436,6 +440,25 @@ def _feasible_supports(graph: LabeledGraph, below: int | None = None):
             stack.append((k + 1, t, kept | lead | trail, comp, rank))
 
 
+def height_witness(graph: LabeledGraph) -> tuple[int, frozenset[int], tuple[tuple[int, ...], ...]]:
+    """(height, T, blocks): ht I_G with a support whose prime has it.
+
+    T is a cheapest feasible support and blocks are the components of G_T
+    with two or more columns, each a sorted column tuple, in order of their
+    first column.  P_T = (x_T) + I_{L_T} contains I_G, since T kills both
+    terms of each edge minor or its columns lie in one block, and
+    ht P_T = |T| + sum(|C| - 1) = ht I_G.  By Krull's height theorem
+    ht I_G <= mu = |E|, so a search bounded just above mu finds it.
+    """
+    if not graph.edges:
+        raise ValueError("edgeless graph has no Hankel edge ideal")
+    *_, (ht, t, comp) = _feasible_supports(graph, below=len(graph.edges) + 1)
+    members: dict[int, list[int]] = {}
+    for column in range(1, graph.n + 1):
+        members.setdefault(comp[column], []).append(column)
+    return ht, t, tuple(tuple(c) for c in members.values() if len(c) > 1)
+
+
 def edge_ideal_height(graph: LabeledGraph, bounds: tuple | None = None) -> int:
     """Height of the edge ideal: the least ht P_T over feasible supports T.
 
@@ -475,19 +498,23 @@ def property_report(graph: LabeledGraph) -> PropertyReport:
     the minor of an edge {i < j} has leading monomial x_i*x_{j+1}, which gives
     back the edge, so the minors are linearly independent quadrics: none lies
     in the ideal of the others, and by graded Nakayama they generate
-    minimally.  The height comes from `edge_ideal_height`, with no Groebner
-    work.
+    minimally.  The height comes from `height_witness`, with no Groebner
+    work, and the checks name its support and blocks: an interval block as
+    a..b, any other by its columns.
     """
     if not graph.is_connected():
         raise ValueError("property report requires a connected graph")
     mu = len(graph.edges)
-    bounds = height_bounds(graph)
-    ht = edge_ideal_height(graph, bounds)
-    lo, hi, cover, prime = bounds
-    cover_text = ", ".join(f"x{v}" for v in sorted(cover))
+    ht, support, blocks = height_witness(graph)
+    witness = f"height={ht}: support {{{', '.join(map(str, sorted(support)))}}}"
+    if blocks:
+        witness += ", blocks " + ", ".join(
+            f"{c[0]}..{c[-1]}" if c[-1] - c[0] == len(c) - 1 else "{" + ", ".join(map(str, c)) + "}"
+            for c in blocks
+        )
     checks = (
         f"mu={mu} (distinct minors have distinct lex leading monomials)",
-        f"height in [{lo}, {hi}]: cover {{{cover_text}}}, prime {prime.describe()}",
+        witness,
         f"height={ht}",
     )
     return PropertyReport(graph, mu, ht, mu == ht, mu == ht + 1, checks)

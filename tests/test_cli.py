@@ -139,18 +139,28 @@ def test_gen_json_envelope(capsys):
     assert payload["result"] == ["x1*x3 - x2^2", "x2*x4 - x3^2"]
 
 
-def test_json_output_is_byte_stable():
+def _fresh_json_twice(*argv):
     # fresh processes, so in-process basis caching cannot skew the budget count;
     # pytest's own `pythonpath` setting does not reach them
-    cmd = [sys.executable, "-m", "hankelideals.cli", "--json", "minprimes", "--builtin", "t1-4"]
+    cmd = [sys.executable, "-m", "hankelideals.cli", "--json", *argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    first = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
-    second = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+    return [subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout for _ in range(2)]
+
+
+def test_json_output_is_byte_stable():
+    first, second = _fresh_json_twice("minprimes", "--builtin", "t1-4")
     assert first == second
     payload = json.loads(first)
     assert payload["result"]["ok"] is True
     assert payload["budget_used"] > 0
+
+    first, second = _fresh_json_twice("height", "--builtin", "fig4")
+    assert first == second
+    payload = json.loads(first)
+    assert payload["result"] == {"height": 6}
+    assert payload["evidence"] == {"support": [1, 2, 3, 5, 8, 9], "blocks": []}
+    assert payload["budget_used"] == 0
 
 
 def test_verify_json_reports_null_edges(capsys):
@@ -452,18 +462,27 @@ def test_height_verdicts_compute_no_groebner_basis(capsys, monkeypatch):
         assert code == 0 and out.endswith("instances passed\n"), tag
     assert run(capsys, "check", "ci", "--builtin", "fig4")[:2] == (1, "CI: false (mu=9, height=6)\n")
     assert run(capsys, "check", "aci", "--builtin", "fig4")[:2] == (1, "almost CI: false (mu=9, height=6)\n")
+    for builtin, ht in (("fig4", 6), ("c12", 11), ("k10", 9)):
+        assert run(capsys, "height", "--builtin", builtin)[:2] == (0, f"height = {ht}\n")
 
 
-def test_check_ci_reports_the_height_bracket(capsys):
+def test_check_ci_reports_the_height_bracket(capsys, tmp_path):
+    # the bracket line gave way to the support witness of the height
     _, out, _ = run(capsys, "--json", "check", "ci", "--builtin", "fig4")
     checks = json.loads(out)["evidence"]["checks"]
-    assert "height in [5, 6]: cover {x1, x2, x4, x5, x8}, prime (x1, x2, x3, x5, x8, x9)" in checks
+    assert "height=6: support {1, 2, 3, 5, 8, 9}" in checks
     assert checks[-1] == "height=6"
+    _, out, _ = run(capsys, "--json", "check", "aci", "--builtin", "fig3")
+    assert json.loads(out)["evidence"]["checks"][1:] == ["height=4: support {}, blocks 1..5", "height=4"]
+    # a block that is not an interval is printed by its columns
+    graph = tmp_path / "g.graph"
+    graph.write_text("n 5\ne 1 2\ne 1 3\ne 1 4\ne 3 5\n")
+    _, out, _ = run(capsys, "--json", "check", "ci", "--graph", str(graph))
+    assert json.loads(out)["evidence"]["checks"][1] == "height=3: support {1, 2}, blocks {3, 5}"
 
 
 def test_check_ci_costs_only_the_height(capsys):
-    # the bracket gives 5 <= ht <= 6 and the support search decides 6 with
-    # no Groebner work, while `height` needs the whole revlex basis
+    # the support search decides 6 with no Groebner work, for `height` too
     used = {}
     for argv in (["check", "ci"], ["check", "aci"], ["height"]):
         basis_cache_clear()
@@ -472,7 +491,7 @@ def test_check_ci_costs_only_the_height(capsys):
         assert payload["result"]["height"] == 6
         used[argv[-1]] = payload["budget_used"]
     assert used["ci"] == 0 and used["aci"] == 0
-    assert used["height"] == 370
+    assert used["height"] == 0
 
 
 def _pinned_basis(label):
@@ -495,6 +514,29 @@ def test_a_zero_budget_still_decides_the_height(capsys):
     basis_cache_clear()
     code, out, _ = run(capsys, "--budget", "0", "check", "ci", "--builtin", "fig4")
     assert code == 1 and out == "CI: false (mu=9, height=6)\n"
+    assert run(capsys, "--budget", "0", "height", "--builtin", "c12") == (0, "height = 11\n", "")
+
+
+def test_height_of_large_hamiltonian_graphs_costs_no_pairs(capsys):
+    # Thm 2.2: height n - 1; a revlex basis of c20 alone took 2280 pairs
+    for builtin, ht in (("c40", 39), ("k20", 19)):
+        code, out, _ = run(capsys, "--json", "height", "--builtin", builtin)
+        payload = json.loads(out)
+        assert code == 0 and payload["result"] == {"height": ht}
+        assert payload["budget_used"] == 0
+
+
+def test_height_takes_no_order(capsys):
+    # ht in(I) = ht I under every order, so `height` has nothing to select
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--builtin", "fig4", "--order", "lex"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, out, _ = run(capsys, "--json", "height", "--builtin", "fig4")
+    assert json.loads(out)["order"] == "revlex"
+    _, out, _ = run(capsys, "--json", "initial", "--builtin", "l3", "--order", "lex")
+    payload = json.loads(out)
+    assert payload["order"] == "lex" and payload["result"]["generators"] == ["x2*x4", "x1*x3"]
 
 
 def test_budget_accepts_every_whitespace_strip_removes(capsys):

@@ -583,12 +583,68 @@ def test_support_heights_match_the_groebner_oracle_on_trees_and_figures():
     assert frozenset({1, 2, 3, 5, 8, 9}) in cheapest
 
 
+def _assert_height_witness(graph, want):
+    """height_witness gives `want` with a prime P_T over I_G of that height.
+
+    P_T = (x_T) + I_L, L spanned by d_i - d_j over the pairs of columns in
+    one block, is prime of height |T| + rank L when T avoids the blocks'
+    variables; it holds each edge minor by the rule in `_radical_within`,
+    and `member_by_buchberger` confirms that on its generators."""
+    ht, support, blocks = hankel_module.height_witness(graph)
+    assert ht == want, graph
+    columns = [c for block in blocks for c in block]
+    assert all(len(block) > 1 and list(block) == sorted(block) for block in blocks)
+    assert len(columns) == len(set(columns)) and not support & {v for c in columns for v in (c, c + 1)}
+    pairs = [(i, j) for block in blocks for i, j in itertools.combinations(block, 2)]
+    rank = rank_over_q(_lattice_row(i, j) for i, j in pairs)
+    assert ht == len(support) + sum(len(block) - 1 for block in blocks) == len(support) + rank
+    block_of = {c: k for k, block in enumerate(blocks) for c in block}
+    edges = graph.edge_list()
+    assert all(
+        (support & {i, j + 1} and support & {j, i + 1}) or block_of.get(i, -1) == block_of.get(j, -2)
+        for i, j in edges
+    ), graph
+    context = VariableContext(graph.n + 1)
+    member = member_by_buchberger(
+        [Polynomial.variable(context, v) for v in sorted(support)]
+        + [hankel_generator(context, i, j) for i, j in pairs]
+    )
+    assert all(member(hankel_generator(context, i, j)) for i, j in edges), graph
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_support_heights_match_the_groebner_oracle(data):
     graph = data.draw(connected_graphs())
     want = height_by_buchberger(hankel_edge_ideal(graph).ideal.generators)
     assert _support_height(graph) == hankel_module.edge_ideal_height(graph) == want, graph
+    _assert_height_witness(graph, want)
+
+
+def test_height_witness_matches_the_groebner_oracle_on_disconnected_graphs():
+    # the CLI `height` takes disconnected graphs too: every one with n <= 5
+    # and at least one edge
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1, 1 << len(pairs)):
+            graph = LabeledGraph.of(n, [pairs[k] for k in range(len(pairs)) if bits >> k & 1])
+            if not graph.is_connected():
+                graphs.append(graph)
+    assert len(graphs) == 323
+    for graph in graphs:
+        _assert_height_witness(graph, height_by_buchberger(hankel_edge_ideal(graph).ideal.generators))
+
+
+def test_height_witness_on_the_figures_and_large_families():
+    assert hankel_module.height_witness(figure4_tree()) == (6, frozenset({1, 2, 3, 5, 8, 9}), ())
+    # Thm 2.2: labeled (semi-)Hamiltonian graphs have height n - 1, with the
+    # curve ideal as the witness
+    for graph in (cycle_graph(12), complete_graph(10), complete_graph_minus_long_edge(12)):
+        n = graph.n
+        assert hankel_module.height_witness(graph) == (n - 1, frozenset(), (tuple(range(1, n + 1)),))
+    with pytest.raises(ValueError, match="edgeless"):
+        hankel_module.height_witness(LabeledGraph.of(3, []))
 
 
 def _random_connected(rng, n: int) -> LabeledGraph:
